@@ -13,14 +13,13 @@ from .errors import (
     InvalidVertexError,
     LabelRangeError,
     LabellingStreamError,
-    NotGracefulError,
     SearchCapError,
 )
 from .inverse import DecodeState, invert_label, trace_inversion
 from .labelling import (
-    GracefulLabelling,
     LabelledVertex,
     edge_label,
+    enumerate_vertices,
     label_all,
     label_vertex,
     records_from_assignment,
@@ -29,11 +28,8 @@ from .shape import (
     TreeShape,
     VertexId,
     build_shape,
-    enumerate_vertices,
     format_vertex,
-    parent,
     parse_degree_sequence,
-    parse_vertex,
     validate_vertex,
 )
 from .verification import (
@@ -43,8 +39,6 @@ from .verification import (
     auxiliary_bitmap_bytes,
     brute_force_graceful,
     canonical_path_labelling,
-    check_weakly_alpha,
-    verify_graceful,
     verify_with_weak_alpha,
 )
 
@@ -56,12 +50,10 @@ __all__ = [
     "Counterexample",
     "DecodeState",
     "DegreeSequenceError",
-    "GracefulLabelling",
     "InvalidVertexError",
     "LabelRangeError",
     "LabelledVertex",
     "LabellingStreamError",
-    "NotGracefulError",
     "SearchCapError",
     "TreeShape",
     "VerificationReport",
@@ -71,19 +63,15 @@ __all__ = [
     "brute_force_graceful",
     "build_shape",
     "canonical_path_labelling",
-    "check_weakly_alpha",
     "edge_label",
     "enumerate_vertices",
     "format_vertex",
     "invert_label",
     "label_all",
     "label_vertex",
-    "parent",
     "parse_degree_sequence",
-    "parse_vertex",
     "records_from_assignment",
     "trace_inversion",
     "validate_vertex",
-    "verify_graceful",
     "verify_with_weak_alpha",
 ]

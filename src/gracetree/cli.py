@@ -1,7 +1,8 @@
 """Command-line interface: label, invert, verify, oracle-compare, bench.
 
 Exit status contract, stable for scripting: 0 success/pass, 1 verification
-failure, 2 usage or input error, 3 capacity overflow, 4 I/O failure.
+failure, 2 usage or input error, 3 capacity overflow, 4 I/O failure.  A
+reader that closes the output early (``| head``) ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -9,25 +10,26 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
 
 from .errors import (
     CapacityError,
+    ConsistencyError,
     DegreeSequenceError,
     InvalidVertexError,
     LabelRangeError,
     SearchCapError,
 )
 from .inverse import DecodeState, invert_label, trace_inversion
-from .labelling import label_all
+from .labelling import label_all, records_from_assignment
 from .shape import TreeShape, build_shape, format_vertex, parse_degree_sequence
 from .verification import (
     auxiliary_bitmap_bytes,
     brute_force_graceful,
     canonical_path_labelling,
-    verify_graceful,
     verify_with_weak_alpha,
 )
 
@@ -62,10 +64,6 @@ def _open_out(path: str | None):
             yield handle
 
 
-def _fmt_tuple(values) -> str:
-    return "(" + ",".join(str(v) for v in values) + ")"
-
-
 def _print_counterexamples(report, limit: int = 10) -> None:
     for ce in report.counterexamples[:limit]:
         print(f"  counterexample: {ce.kind} at {format_vertex(ce.vertex)}, value {ce.value}")
@@ -85,28 +83,26 @@ def _write_table(shape: TreeShape, out) -> None:
         f"{'vertex':<{vw}}  {'level':>{rw}}  {'label':>{lw}}  "
         f"{'parent_label':>{pw}}  {'edge_label':>{ew}}\n"
     )
-    for rec in label_all(shape):
-        parent = "-" if rec.parent_label is None else str(rec.parent_label)
-        edge = "-" if rec.edge_label is None else str(rec.edge_label)
+    for vertex, label, parent_label in label_all(shape):
+        if parent_label is None:
+            parent = edge = "-"
+        else:
+            parent, edge = str(parent_label), str(abs(label - parent_label))
         out.write(
-            f"{format_vertex(rec.vertex):<{vw}}  {len(rec.vertex) + 1:>{rw}}  "
-            f"{rec.label:>{lw}}  {parent:>{pw}}  {edge:>{ew}}\n"
+            f"{format_vertex(vertex):<{vw}}  {len(vertex) + 1:>{rw}}  "
+            f"{label:>{lw}}  {parent:>{pw}}  {edge:>{ew}}\n"
         )
 
 
 def _write_csv(shape: TreeShape, out) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["vertex", "level", "label", "parent_label", "edge_label"])
-    for rec in label_all(shape):
-        writer.writerow(
-            [
-                format_vertex(rec.vertex),
-                len(rec.vertex) + 1,
-                rec.label,
-                "" if rec.parent_label is None else rec.parent_label,
-                "" if rec.edge_label is None else rec.edge_label,
-            ]
-        )
+    for vertex, label, parent_label in label_all(shape):
+        if parent_label is None:
+            parent = edge = ""
+        else:
+            parent, edge = parent_label, abs(label - parent_label)
+        writer.writerow([format_vertex(vertex), len(vertex) + 1, label, parent, edge])
 
 
 def _write_json(shape: TreeShape, out) -> None:
@@ -122,17 +118,19 @@ def _write_json(shape: TreeShape, out) -> None:
         )
     )
     first = True
-    for rec in label_all(shape):
+    for vertex, label, parent_label in label_all(shape):
         out.write("\n" if first else ",\n")
         first = False
         out.write(
             json.dumps(
                 {
-                    "vertex": format_vertex(rec.vertex),
-                    "level": len(rec.vertex) + 1,
-                    "label": rec.label,
-                    "parent_label": rec.parent_label,
-                    "edge_label": rec.edge_label,
+                    "vertex": format_vertex(vertex),
+                    "level": len(vertex) + 1,
+                    "label": label,
+                    "parent_label": parent_label,
+                    "edge_label": (
+                        None if parent_label is None else abs(label - parent_label)
+                    ),
                 }
             )
         )
@@ -141,12 +139,13 @@ def _write_json(shape: TreeShape, out) -> None:
 
 def _write_dot(shape: TreeShape, out) -> None:
     out.write("digraph labelled_tree {\n")
-    for rec in label_all(shape):
-        name = format_vertex(rec.vertex)
-        out.write(f'  "{name}" [label="{rec.label}"];\n')
-        if rec.parent_label is not None:
-            parent_name = format_vertex(rec.vertex[:-1])
-            out.write(f'  "{parent_name}" -> "{name}" [label="{rec.edge_label}"];\n')
+    for vertex, label, parent_label in label_all(shape):
+        name = format_vertex(vertex)
+        out.write(f'  "{name}" [label="{label}"];\n')
+        if parent_label is not None:
+            parent_name = format_vertex(vertex[:-1])
+            edge = abs(label - parent_label)
+            out.write(f'  "{parent_name}" -> "{name}" [label="{edge}"];\n')
     out.write("}\n")
 
 
@@ -161,7 +160,7 @@ _WRITERS = {
 def cmd_label(args: argparse.Namespace) -> int:
     shape = _shape_from(args)
     if args.verify_only:
-        report = verify_graceful(shape, label_all(shape))
+        report = verify_with_weak_alpha(shape, label_all(shape))[0]
         print(f"streamed {shape.vertex_count} vertices, {shape.edge_count} edges")
         print(f"graceful: {'pass' if report.passed else 'FAIL'}")
         if not report.passed:
@@ -199,8 +198,8 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     shape = _shape_from(args)
     report, weak = verify_with_weak_alpha(shape, label_all(shape))
-    print(f"degree sequence: {_fmt_tuple(shape.degrees)}")
-    print(f"level sizes:     {_fmt_tuple(shape.level_sizes)}")
+    print(f"degree sequence: {format_vertex(shape.degrees)}")
+    print(f"level sizes:     {format_vertex(shape.level_sizes)}")
     print(f"vertices: {shape.vertex_count}  edges: {shape.edge_count}")
     print(f"vertex labels distinct:        {'yes' if report.vertex_labels_distinct else 'NO'}")
     print(f"vertex labels within range:    {'yes' if report.labels_in_range else 'NO'}")
@@ -216,6 +215,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lo, hi = weak.feasible_k_range
         print(f"weak separator interval: [{lo}, {hi}]")
     if weak.claimed_k is not None:
+        # The closed form guarantees h_2 a feasible separator; other
+        # graceful labellings need not have it.
+        feasible = weak.feasible_k_range
+        if feasible is None or not feasible[0] <= weak.claimed_k <= feasible[1]:
+            raise ConsistencyError(
+                f"separator {weak.claimed_k} not in feasible interval {feasible} "
+                "although the root has two children"
+            )
         print(f"second-level subtree size {weak.claimed_k} lies in the interval")
     print(f"strict separator feasible: {'yes' if weak.strict_alpha_feasible else 'no'}")
     print("result: PASS")
@@ -239,7 +246,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
             print(f"path oracle: MISMATCH (closed form {closed}, zig-zag {zigzag})")
     if n <= args.cap:
         ran_any = True
-        report = verify_graceful(shape, label_all(shape))
+        report = verify_with_weak_alpha(shape, label_all(shape))[0]
         print(f"closed form: {'graceful' if report.passed else 'NOT graceful'}")
         if not report.passed:
             failures += 1
@@ -249,12 +256,14 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
             failures += 1
             print("search oracle: exhausted without a graceful labelling")
         else:
-            found_report = verify_graceful(shape, found.records())
+            found_report = verify_with_weak_alpha(
+                shape, records_from_assignment(shape, found)
+            )[0]
             if not found_report.passed:
                 failures += 1
                 print("search oracle: produced an invalid labelling")
                 _print_counterexamples(found_report)
-            elif all(found.label(rec.vertex) == rec.label for rec in label_all(shape)):
+            elif all(found[rec.vertex] == rec.label for rec in label_all(shape)):
                 print("search oracle: found the same labelling")
             else:
                 print("search oracle: found a different valid labelling")
@@ -277,7 +286,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     times = []
     for _ in range(args.reps):
         start = time.perf_counter()
-        report = verify_graceful(shape, label_all(shape))
+        report = verify_with_weak_alpha(shape, label_all(shape))[0]
         times.append(time.perf_counter() - start)
         if not report.passed:
             print("verification FAILED during bench", file=sys.stderr)
@@ -362,7 +371,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early, as ``| head`` does.  Point
+        # stdout at devnull so the interpreter's final flush stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except (DegreeSequenceError, LabelRangeError, SearchCapError, InvalidVertexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,10 +25,6 @@ class LabellingStreamError(ValueError):
     """A labelling stream did not cover the tree exactly once."""
 
 
-class NotGracefulError(ValueError):
-    """Operation requires a graceful labelling but verification failed."""
-
-
 class SearchCapError(ValueError):
     """Shape too large for the exhaustive search oracle."""
 

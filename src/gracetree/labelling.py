@@ -18,18 +18,18 @@ from __future__ import annotations
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import ConsistencyError, InvalidVertexError, LabellingStreamError
-from .shape import TreeShape, VertexId, enumerate_vertices, validate_vertex
-
-#: Trees at most this large keep a materialised vertex -> label dict;
-#: larger ones are evaluated on demand so memory stays flat.
-MATERIALIZE_THRESHOLD = 100_000
+from .shape import TreeShape, VertexId, validate_vertex
 
 
 class LabelledVertex(NamedTuple):
+    """One vertex of a labelling stream; the root has no parent label.
+
+    The edge to the parent carries ``abs(label - parent_label)``.
+    """
+
     vertex: VertexId
     label: int
     parent_label: int | None
-    edge_label: int | None
 
 
 def label_vertex(shape: TreeShape, vertex: VertexId) -> int:
@@ -71,12 +71,12 @@ def edge_label(shape: TreeShape, child: VertexId) -> int:
 def label_all(shape: TreeShape) -> Iterator[LabelledVertex]:
     """Stream one record per vertex in canonical breadth-first order.
 
-    The root record carries no parent or edge label.  State is a single
+    The root record carries no parent label.  State is a single
     mixed-radix odometer whose weighted digit sum is updated in place, so
     emitting a record costs O(1) arithmetic and memory never depends on
     the vertex count; multi-million-vertex trees stream in constant space.
     """
-    yield LabelledVertex((), 0, None, None)
+    yield LabelledVertex((), 0, None)
     degrees = shape.degrees
     sizes = shape.level_sizes
     edges = shape.edge_count
@@ -106,9 +106,7 @@ def label_all(shape: TreeShape) -> Iterator[LabelledVertex]:
             else:
                 label = dot + half
                 parent_label = edges - parent_dot - parent_half
-            yield LabelledVertex(
-                tuple(digits), label, parent_label, abs(label - parent_label)
-            )
+            yield LabelledVertex(tuple(digits), label, parent_label)
             for j in reversed(range(width)):
                 digits[j] += 1
                 if digits[j] < radices[j]:
@@ -119,10 +117,29 @@ def label_all(shape: TreeShape) -> Iterator[LabelledVertex]:
                 break
 
 
+def enumerate_vertices(shape: TreeShape) -> Iterator[VertexId]:
+    """Yield every vertex in breadth-first order.
+
+    Level by level, and within a level in lexicographic order of the
+    child-index sequences.  This is the canonical order for all outputs.
+    """
+    for rec in label_all(shape):
+        yield rec.vertex
+
+
 def records_from_assignment(
     shape: TreeShape, assignment: Mapping[VertexId, int]
 ) -> Iterator[LabelledVertex]:
-    """Stream records for an explicit vertex -> label mapping in canonical order."""
+    """Stream records for an explicit vertex -> label mapping in canonical order.
+
+    The mapping must cover every vertex exactly once; otherwise
+    LabellingStreamError is raised.
+    """
+    if len(assignment) != shape.vertex_count:
+        raise LabellingStreamError(
+            f"assignment covers {len(assignment)} vertices, "
+            f"expected {shape.vertex_count}"
+        )
     for vertex in enumerate_vertices(shape):
         try:
             label = assignment[vertex]
@@ -130,62 +147,5 @@ def records_from_assignment(
             raise LabellingStreamError(
                 f"assignment missing vertex {vertex}"
             ) from None
-        if vertex:
-            parent_label = assignment[vertex[:-1]]
-            yield LabelledVertex(
-                vertex, label, parent_label, abs(label - parent_label)
-            )
-        else:
-            yield LabelledVertex(vertex, label, None, None)
-
-
-class GracefulLabelling:
-    """A complete vertex -> label assignment over one tree shape.
-
-    Without an explicit assignment the closed form is used: small trees
-    (at most ``materialize_threshold`` vertices) are materialised into a
-    dict, larger ones become a pure evaluation view.  An explicit
-    assignment (for example from the brute-force search) is always
-    materialised and must cover every vertex exactly once.
-    """
-
-    def __init__(
-        self,
-        shape: TreeShape,
-        assignment: Mapping[VertexId, int] | None = None,
-        *,
-        materialize_threshold: int = MATERIALIZE_THRESHOLD,
-    ):
-        self.shape = shape
-        if assignment is not None:
-            if len(assignment) != shape.vertex_count:
-                raise LabellingStreamError(
-                    f"assignment covers {len(assignment)} vertices, "
-                    f"expected {shape.vertex_count}"
-                )
-            self._assignment: dict[VertexId, int] | None = dict(assignment)
-            for vertex in enumerate_vertices(shape):
-                if vertex not in self._assignment:
-                    raise LabellingStreamError(f"assignment missing vertex {vertex}")
-        elif shape.vertex_count <= materialize_threshold:
-            self._assignment = {rec.vertex: rec.label for rec in label_all(shape)}
-        else:
-            self._assignment = None
-
-    @property
-    def is_materialized(self) -> bool:
-        return self._assignment is not None
-
-    def label(self, vertex: VertexId) -> int:
-        validate_vertex(self.shape, vertex)
-        if self._assignment is None:
-            return label_vertex(self.shape, vertex)
-        return self._assignment[vertex]
-
-    __getitem__ = label
-
-    def records(self) -> Iterator[LabelledVertex]:
-        """Stream records in canonical breadth-first order."""
-        if self._assignment is None:
-            return label_all(self.shape)
-        return records_from_assignment(self.shape, self._assignment)
+        parent_label = assignment[vertex[:-1]] if vertex else None
+        yield LabelledVertex(vertex, label, parent_label)

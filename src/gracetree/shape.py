@@ -13,8 +13,8 @@ deepest level always has h_q = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import CapacityError, DegreeSequenceError, InvalidVertexError
 
@@ -61,26 +61,29 @@ class TreeShape:
     """A daughter degree sequence plus its derived subtree sizes per level.
 
     ``level_sizes[i]`` is the vertex count of the subtree rooted at any
-    vertex of level i + 1; the first entry is the whole tree.  Instances
+    vertex of level i + 1; the first entry is the whole tree.  The sizes
+    are derived bottom-up: the deepest level has size 1 and each level
+    above satisfies size = degree * size_below + 1.  Construction fails
+    with CapacityError instead of silently exceeding 64 bits.  Instances
     are immutable and safe for unrestricted concurrent use.
     """
 
     degrees: tuple[int, ...]
-    level_sizes: tuple[int, ...]
+    level_sizes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.level_sizes) != len(self.degrees) + 1:
-            raise ValueError("level_sizes must be one longer than degrees")
-        if self.level_sizes[-1] != 1:
-            raise ValueError("deepest level size must be 1")
-        for i, k in enumerate(self.degrees):
-            _check_degree(k, i + 1)
-            if self.level_sizes[i] != k * self.level_sizes[i + 1] + 1:
-                raise ValueError(
-                    f"level size {i + 1} inconsistent with the degree sequence"
+        for position, k in enumerate(self.degrees, start=1):
+            _check_degree(k, position)
+        sizes = [1]
+        for i in range(len(self.degrees) - 1, -1, -1):
+            nxt = self.degrees[i] * sizes[-1] + 1
+            if nxt > U64_MAX:
+                raise CapacityError(
+                    f"subtree size at level {i + 1} exceeds the 64-bit range"
                 )
-        if self.level_sizes[0] > U64_MAX:
-            raise CapacityError("vertex count exceeds the 64-bit range")
+            sizes.append(nxt)
+        sizes.reverse()
+        object.__setattr__(self, "level_sizes", tuple(sizes))
 
     @property
     def levels(self) -> int:
@@ -96,25 +99,8 @@ class TreeShape:
 
 
 def build_shape(degrees: Iterable[int]) -> TreeShape:
-    """Build a TreeShape, deriving subtree sizes bottom-up.
-
-    The deepest level has size 1 and each level above satisfies
-    size = degree * size_below + 1.  Construction fails with
-    CapacityError instead of silently exceeding 64 bits.
-    """
-    degrees = tuple(degrees)
-    for position, k in enumerate(degrees, start=1):
-        _check_degree(k, position)
-    sizes = [1]
-    for i in range(len(degrees) - 1, -1, -1):
-        nxt = degrees[i] * sizes[-1] + 1
-        if nxt > U64_MAX:
-            raise CapacityError(
-                f"subtree size at level {i + 1} exceeds the 64-bit range"
-            )
-        sizes.append(nxt)
-    sizes.reverse()
-    return TreeShape(degrees, tuple(sizes))
+    """Build the TreeShape of a daughter degree sequence."""
+    return TreeShape(tuple(degrees))
 
 
 def validate_vertex(shape: TreeShape, vertex: VertexId) -> int:
@@ -132,64 +118,6 @@ def validate_vertex(shape: TreeShape, vertex: VertexId) -> int:
     return len(vertex) + 1
 
 
-def parent(vertex: VertexId) -> VertexId:
-    """Drop the final child index; the root has no parent."""
-    if not vertex:
-        raise InvalidVertexError("the root has no parent")
-    return vertex[:-1]
-
-
-def _iter_level(degrees: tuple[int, ...], level: int) -> Iterator[VertexId]:
-    # Mixed-radix odometer over (k_1, ..., k_{level-1}) in lexicographic
-    # order; state is one digit list, never a materialised level.
-    width = level - 1
-    digits = [0] * width
-    while True:
-        yield tuple(digits)
-        for j in reversed(range(width)):
-            digits[j] += 1
-            if digits[j] < degrees[j]:
-                break
-            digits[j] = 0
-        else:
-            return
-
-
-def enumerate_vertices(shape: TreeShape) -> Iterator[VertexId]:
-    """Yield every vertex in breadth-first order.
-
-    Level by level, and within a level in lexicographic order of the
-    child-index sequences.  This is the canonical order for all outputs.
-    """
-    for level in range(1, shape.levels + 1):
-        yield from _iter_level(shape.degrees, level)
-
-
 def format_vertex(vertex: VertexId) -> str:
     """Render a vertex as "(x1,x2,...)"; the root prints as "()"."""
     return "(" + ",".join(str(x) for x in vertex) + ")"
-
-
-def parse_vertex(text: str) -> VertexId:
-    """Parse the "(x1,x2,...)" vertex notation produced by format_vertex."""
-    stripped = text.strip()
-    if not (stripped.startswith("(") and stripped.endswith(")")):
-        raise InvalidVertexError(f"{text!r} is not a parenthesised sequence")
-    inner = stripped[1:-1].strip()
-    if not inner:
-        return ()
-    entries = []
-    for position, token in enumerate(inner.split(","), start=1):
-        try:
-            value = int(token.strip())
-        except ValueError:
-            raise InvalidVertexError(
-                f"entry {position}: {token.strip()!r} is not an integer",
-                position=position,
-            ) from None
-        if value < 0:
-            raise InvalidVertexError(
-                f"entry {position}: child index must be >= 0", position=position
-            )
-        entries.append(value)
-    return tuple(entries)

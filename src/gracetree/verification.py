@@ -1,9 +1,10 @@
 """Independent checks and oracles for graceful labellings.
 
-Nothing here trusts the closed form: gracefulness is established by
-scanning a labelling stream against two presence bitmaps, the weak
-separator interval is computed from per-edge extremes, paths have their
-own zig-zag oracle, and small shapes can be searched exhaustively.
+Nothing here trusts the closed form or the stream: one pass of
+``verify_with_weak_alpha`` checks gracefulness against two presence
+bitmaps, recomputing every edge label from its end labels, and takes the
+weak separator interval from per-edge extremes.  Paths have their own
+zig-zag oracle, and small shapes can be searched exhaustively.
 """
 
 from __future__ import annotations
@@ -11,14 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    ConsistencyError,
-    LabellingStreamError,
-    NotGracefulError,
-    SearchCapError,
-)
-from .labelling import GracefulLabelling, LabelledVertex
-from .shape import TreeShape, VertexId, enumerate_vertices
+from .errors import LabellingStreamError, SearchCapError
+from .labelling import LabelledVertex, enumerate_vertices
+from .shape import TreeShape, VertexId
 
 
 class Counterexample(NamedTuple):
@@ -52,8 +48,9 @@ class WeaklyAlphaReport:
     ``feasible_k_range`` is the closed interval of integers k such that
     every edge has min(end labels) <= k <= max(end labels), or None when
     no such k exists.  ``claimed_k`` is the second-level subtree size for
-    shapes whose root has exactly two children (the value the labelling
-    guarantees to be feasible), absent otherwise.
+    shapes whose root has exactly two children, absent otherwise; the
+    closed-form labelling guarantees it to be feasible, other graceful
+    labellings need not.
     ``strict_alpha_feasible`` reports whether some k separates every edge
     strictly (min <= k < max); it is reported, never asserted.
     """
@@ -69,13 +66,21 @@ def auxiliary_bitmap_bytes(shape: TreeShape) -> int:
     return (e + 8) // 8 + (e + 7) // 8
 
 
-def _scan(
+def verify_with_weak_alpha(
     shape: TreeShape, records: Iterable[LabelledVertex]
-) -> tuple[VerificationReport, int, int | None]:
-    """One streaming pass: gracefulness flags plus per-edge label extremes.
+) -> tuple[VerificationReport, WeaklyAlphaReport | None]:
+    """Check a full labelling stream for gracefulness and separators in one pass.
 
-    Memory is two bitmaps (vertex labels 0..|E|, edge labels 1..|E|) plus
-    constant per-record state, so multi-million-vertex streams are fine.
+    Vertex labels must be pairwise distinct within [0, |E|] and the
+    induced edge labels pairwise distinct within [1, |E|]; together that
+    forces the edge labels to be exactly {1, ..., |E|}.  The stream must
+    cover every vertex exactly once, else LabellingStreamError.
+
+    The weak-separator report is None when verification fails; its
+    feasible interval is the intersection of the per-edge [min, max]
+    intervals.  Memory is two bitmaps (vertex labels 0..|E|, edge labels
+    1..|E|) plus constant per-record state, so multi-million-vertex
+    streams are fine.
     """
     expected = shape.vertex_count
     edge_count = shape.edge_count
@@ -87,7 +92,7 @@ def _scan(
     edges_seen = 0
     lo = 0  # max over edges of min(end labels)
     hi: int | None = None  # min over edges of max(end labels)
-    for vertex, label, parent_label, _ in records:
+    for vertex, label, parent_label in records:
         count += 1
         if count > expected:
             raise LabellingStreamError(f"stream longer than {expected} vertices")
@@ -140,78 +145,28 @@ def _scan(
     if edges_seen != edge_count:
         complete = False
     report = VerificationReport(distinct, in_range, complete, tuple(counterexamples))
-    return report, lo, hi
-
-
-def verify_graceful(
-    shape: TreeShape, records: Iterable[LabelledVertex]
-) -> VerificationReport:
-    """Check a full labelling stream for gracefulness.
-
-    Vertex labels must be pairwise distinct within [0, |E|] and the
-    induced edge labels pairwise distinct within [1, |E|]; together that
-    forces the edge labels to be exactly {1, ..., |E|}.
-    """
-    report, _, _ = _scan(shape, records)
-    return report
-
-
-def _weak_alpha(shape: TreeShape, lo: int, hi: int | None) -> WeaklyAlphaReport:
-    if shape.edge_count == 0:
-        # No edges: every k works; report the full label range.
-        return WeaklyAlphaReport((0, shape.edge_count), None, True)
-    assert hi is not None
-    feasible = (lo, hi) if lo <= hi else None
-    strict = feasible is not None and lo < hi
-    claimed = None
-    if shape.degrees and shape.degrees[0] == 2:
-        claimed = shape.level_sizes[1]
-        if feasible is None or not feasible[0] <= claimed <= feasible[1]:
-            raise ConsistencyError(
-                f"separator {claimed} not in feasible interval {feasible} "
-                "although the root has two children"
-            )
-    return WeaklyAlphaReport(feasible, claimed, strict)
-
-
-def check_weakly_alpha(
-    shape: TreeShape, records: Iterable[LabelledVertex]
-) -> WeaklyAlphaReport:
-    """Compute separator feasibility for a graceful labelling stream.
-
-    The stream must pass verify_graceful; otherwise NotGracefulError is
-    raised.  The feasible interval is the intersection of the per-edge
-    [min, max] intervals.
-    """
-    report, lo, hi = _scan(shape, records)
-    if not report.passed:
-        raise NotGracefulError(
-            f"labelling is not graceful ({len(report.counterexamples)} counterexamples)"
-        )
-    return _weak_alpha(shape, lo, hi)
-
-
-def verify_with_weak_alpha(
-    shape: TreeShape, records: Iterable[LabelledVertex]
-) -> tuple[VerificationReport, WeaklyAlphaReport | None]:
-    """Run both checks over a single pass of the stream.
-
-    The weak-separator report is None when verification fails.
-    """
-    report, lo, hi = _scan(shape, records)
     if not report.passed:
         return report, None
-    return report, _weak_alpha(shape, lo, hi)
+    if edge_count == 0:
+        # No edges: every k works; report the full label range.
+        return report, WeaklyAlphaReport((0, 0), None, True)
+    feasible = (lo, hi) if lo <= hi else None
+    claimed = shape.level_sizes[1] if shape.degrees[0] == 2 else None
+    strict = feasible is not None and lo < hi
+    return report, WeaklyAlphaReport(feasible, claimed, strict)
 
 
-def brute_force_graceful(shape: TreeShape, cap: int = 14) -> GracefulLabelling | None:
+def brute_force_graceful(
+    shape: TreeShape, cap: int = 14
+) -> dict[VertexId, int] | None:
     """Search for a graceful labelling, independent of the closed form.
 
     Backtracking over vertices in breadth-first order, trying labels
     0..|E| in increasing order and pruning duplicate vertex or edge
     labels, so the first hit is the lexicographically smallest label
-    vector.  Returns None if the search space is exhausted (not expected
-    for any tree, but the search is honest about it).
+    vector, returned as a vertex -> label dict.  Returns None if the
+    search space is exhausted (not expected for any tree, but the search
+    is honest about it).
     """
     if shape.vertex_count > cap:
         raise SearchCapError(
@@ -252,7 +207,7 @@ def brute_force_graceful(shape: TreeShape, cap: int = 14) -> GracefulLabelling |
 
     if not extend(0):
         return None
-    return GracefulLabelling(shape, dict(zip(order, labels)))
+    return dict(zip(order, labels))
 
 
 def canonical_path_labelling(n: int) -> list[int]:

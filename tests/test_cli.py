@@ -3,10 +3,21 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import gracetree
+from gracetree import (
+    ConsistencyError,
+    brute_force_graceful,
+    build_shape,
+    records_from_assignment,
+)
+from gracetree import cli
 from gracetree.cli import main
 from helpers import EXAMPLE_LABELS
 
@@ -155,6 +166,17 @@ class TestVerifyCommand:
         assert "result: PASS" in out
         assert "second-level subtree size 3 lies in the interval" in out
 
+    def test_separator_claim_checked_on_the_stream(self, capsys, monkeypatch):
+        # A graceful stream whose h_2 is not a feasible separator: the
+        # closed form never yields one, so verify treats it as a bug.
+        found = brute_force_graceful(build_shape((2, 1, 2)))
+        monkeypatch.setattr(
+            cli, "label_all", lambda shape: records_from_assignment(shape, found)
+        )
+        with pytest.raises(ConsistencyError):
+            main(["verify", "2,1,2"])
+        capsys.readouterr()
+
 
 class TestOracleCompareCommand:
     def test_path_matches(self, capsys):
@@ -167,6 +189,12 @@ class TestOracleCompareCommand:
         assert code == 0
         assert "closed form: graceful" in out
         assert "search oracle: found" in out
+
+    @pytest.mark.parametrize("degrees", ["2,1,2", "2,2,1"])
+    def test_search_labelling_without_the_separator(self, capsys, degrees):
+        code, out, _ = run(capsys, "oracle-compare", degrees)
+        assert code == 0
+        assert "search oracle: found a different valid labelling" in out
 
     def test_too_large(self, capsys):
         code, _, err = run(capsys, "oracle-compare", "2,3,4")
@@ -227,3 +255,19 @@ class TestExitStatuses:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_reader_closing_early_is_quiet(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(gracetree.__file__))
+        degrees = ",".join(["2"] * 16)  # several MB of csv, far beyond a pipe buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gracetree", "label", degrees, "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"vertex,level,label,parent_label,edge_label\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""

@@ -3,7 +3,6 @@
 import pytest
 
 from gracetree import (
-    GracefulLabelling,
     InvalidVertexError,
     LabellingStreamError,
     build_shape,
@@ -75,15 +74,16 @@ class TestLabelAll:
 
     def test_single_vertex(self):
         records = list(label_all(build_shape(())))
-        assert records == [((), 0, None, None)]
+        assert records == [((), 0, None)]
 
     def test_small_binary_edge_labels_complete(self):
         shape = build_shape((2, 2))
         records = list(label_all(shape))
         assert len(records) == 7
-        assert sorted(r.edge_label for r in records if r.edge_label is not None) == [
-            1, 2, 3, 4, 5, 6,
+        edge_labels = [
+            abs(r.label - r.parent_label) for r in records if r.parent_label is not None
         ]
+        assert sorted(edge_labels) == [1, 2, 3, 4, 5, 6]
 
     def test_agrees_with_pointwise_over_sweep(self):
         # The streaming labeller derives labels incrementally; every record
@@ -99,10 +99,11 @@ class TestLabelAll:
                 assert rec.label == label_vertex(shape, rec.vertex)
                 if rec.vertex:
                     assert rec.parent_label == label_vertex(shape, rec.vertex[:-1])
-                    assert rec.edge_label == abs(rec.label - rec.parent_label)
+                    assert abs(rec.label - rec.parent_label) == edge_label(
+                        shape, rec.vertex
+                    )
                 else:
                     assert rec.parent_label is None
-                    assert rec.edge_label is None
             with pytest.raises(StopIteration):
                 next(order)
 
@@ -118,38 +119,12 @@ class TestRecordsFromAssignment:
         with pytest.raises(LabellingStreamError):
             list(records_from_assignment(shape, {(): 0, (0,): 1}))
 
-
-class TestGracefulLabelling:
-    def test_materialized_small_tree(self, example_shape):
-        labelling = GracefulLabelling(example_shape)
-        assert labelling.is_materialized
-        assert labelling[()] == 0
-        assert labelling[(0, 2)] == 11
-        assert [r.label for r in labelling.records()] == list(EXAMPLE_LABELS)
-
-    def test_evaluation_view_above_threshold(self, example_shape):
-        labelling = GracefulLabelling(example_shape, materialize_threshold=10)
-        assert not labelling.is_materialized
-        assert labelling[(1, 2, 3)] == 2
-        assert [r.label for r in labelling.records()] == list(EXAMPLE_LABELS)
-
-    def test_explicit_assignment(self):
-        shape = build_shape((1, 1))
-        labelling = GracefulLabelling(shape, {(): 0, (0,): 2, (0, 0): 1})
-        assert labelling[(0,)] == 2
-        assert [r.label for r in labelling.records()] == [0, 2, 1]
-
     def test_wrong_size_assignment_rejected(self):
         shape = build_shape((1, 1))
         with pytest.raises(LabellingStreamError):
-            GracefulLabelling(shape, {(): 0})
+            list(records_from_assignment(shape, {(): 0}))
 
     def test_wrong_vertices_rejected(self):
         shape = build_shape((1, 1))
         with pytest.raises(LabellingStreamError):
-            GracefulLabelling(shape, {(): 0, (0,): 2, (9, 9): 1})
-
-    def test_invalid_vertex_lookup(self, example_shape):
-        labelling = GracefulLabelling(example_shape)
-        with pytest.raises(InvalidVertexError):
-            labelling.label((2,))
+            list(records_from_assignment(shape, {(): 0, (0,): 2, (9, 9): 1}))

@@ -10,9 +10,7 @@ from gracetree import (
     build_shape,
     enumerate_vertices,
     format_vertex,
-    parent,
     parse_degree_sequence,
-    parse_vertex,
     validate_vertex,
 )
 from helpers import (
@@ -120,24 +118,6 @@ class TestValidateVertex:
             validate_vertex(shape, (0, 0, 0, 0))
 
 
-class TestParent:
-    def test_drop_last(self):
-        assert parent((1, 2, 3)) == (1, 2)
-        assert parent((0,)) == ()
-
-    def test_root_has_none(self):
-        with pytest.raises(InvalidVertexError):
-            parent(())
-
-    def test_parent_of_every_child(self):
-        shape = build_shape((2, 3))
-        for vertex in enumerate_vertices(shape):
-            level = len(vertex) + 1
-            if level < shape.levels:
-                for child_index in range(shape.degrees[level - 1]):
-                    assert parent(vertex + (child_index,)) == vertex
-
-
 class TestEnumerateVertices:
     def test_breadth_first_prefix(self):
         shape = build_shape((2, 3, 4))
@@ -178,22 +158,6 @@ class TestVertexText:
     def test_format(self):
         assert format_vertex(()) == "()"
         assert format_vertex((1, 2, 3)) == "(1,2,3)"
-
-    def test_parse(self):
-        assert parse_vertex("()") == ()
-        assert parse_vertex("(1, 2,3)") == (1, 2, 3)
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(InvalidVertexError):
-            parse_vertex("1,2,3")
-        with pytest.raises(InvalidVertexError):
-            parse_vertex("(1,x)")
-        with pytest.raises(InvalidVertexError):
-            parse_vertex("(-1)")
-
-    def test_round_trip(self):
-        for vertex in [(), (0,), (5, 0, 17)]:
-            assert parse_vertex(format_vertex(vertex)) == vertex
 
 
 @given(small_degree_sequences)

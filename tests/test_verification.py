@@ -4,26 +4,25 @@ import pytest
 
 from gracetree import (
     LabellingStreamError,
-    NotGracefulError,
     SearchCapError,
     auxiliary_bitmap_bytes,
     brute_force_graceful,
     build_shape,
     canonical_path_labelling,
-    check_weakly_alpha,
     enumerate_vertices,
     label_all,
     records_from_assignment,
-    verify_graceful,
     verify_with_weak_alpha,
 )
 from helpers import degree_sequences_up_to, sweep_degree_sequences
 
 
 class TestVerifyGraceful:
+    """The gracefulness report of verify_with_weak_alpha."""
+
     def test_example_passes(self):
         shape = build_shape((2, 3, 4))
-        report = verify_graceful(shape, label_all(shape))
+        report, _ = verify_with_weak_alpha(shape, label_all(shape))
         assert report.passed
         assert report.vertex_labels_distinct
         assert report.labels_in_range
@@ -32,13 +31,15 @@ class TestVerifyGraceful:
 
     def test_single_vertex_passes_vacuously(self):
         shape = build_shape(())
-        report = verify_graceful(shape, records_from_assignment(shape, {(): 0}))
+        records = records_from_assignment(shape, {(): 0})
+        report, _ = verify_with_weak_alpha(shape, records)
         assert report.passed
 
     def test_duplicate_vertex_label_reported(self):
         shape = build_shape((2,))
         corrupted = {(): 0, (0,): 2, (1,): 2}
-        report = verify_graceful(shape, records_from_assignment(shape, corrupted))
+        records = records_from_assignment(shape, corrupted)
+        report, _ = verify_with_weak_alpha(shape, records)
         assert not report.passed
         assert not report.vertex_labels_distinct
         kinds = {(ce.kind, ce.value) for ce in report.counterexamples}
@@ -47,7 +48,7 @@ class TestVerifyGraceful:
 
     def test_out_of_range_label_reported(self):
         shape = build_shape((2,))
-        report = verify_graceful(
+        report, _ = verify_with_weak_alpha(
             shape, records_from_assignment(shape, {(): 0, (0,): 3, (1,): 1})
         )
         assert not report.labels_in_range
@@ -60,51 +61,55 @@ class TestVerifyGraceful:
         shape = build_shape((2,))
         records = list(label_all(shape))[:-1]
         with pytest.raises(LabellingStreamError):
-            verify_graceful(shape, records)
+            verify_with_weak_alpha(shape, records)
 
     def test_long_stream_rejected(self):
         shape = build_shape((2,))
         records = list(label_all(shape))
         with pytest.raises(LabellingStreamError):
-            verify_graceful(shape, records + records[-1:])
+            verify_with_weak_alpha(shape, records + records[-1:])
 
     def test_sweep_passes(self):
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
-            assert verify_graceful(shape, label_all(shape)).passed, degrees
+            assert verify_with_weak_alpha(shape, label_all(shape))[0].passed, degrees
 
 
 class TestCheckWeaklyAlpha:
+    """The weak-separator report of verify_with_weak_alpha."""
+
     def test_example_claims_second_level_size(self):
         shape = build_shape((2, 3, 4))
-        report = check_weakly_alpha(shape, label_all(shape))
+        _, report = verify_with_weak_alpha(shape, label_all(shape))
         assert report.claimed_k == 16
         lo, hi = report.feasible_k_range
         assert lo <= 16 <= hi
 
     def test_small_binary_feasible(self):
         shape = build_shape((2, 2))
-        report = check_weakly_alpha(shape, label_all(shape))
+        _, report = verify_with_weak_alpha(shape, label_all(shape))
         assert report.feasible_k_range is not None
         assert report.claimed_k == shape.level_sizes[1]
 
     def test_single_vertex_reports_full_range(self):
         shape = build_shape(())
-        report = check_weakly_alpha(shape, records_from_assignment(shape, {(): 0}))
+        records = records_from_assignment(shape, {(): 0})
+        _, report = verify_with_weak_alpha(shape, records)
         assert report.feasible_k_range == (0, 0)
         assert report.claimed_k is None
         assert report.strict_alpha_feasible
 
     def test_wide_roots_report_without_claim(self):
         shape = build_shape((3, 2))
-        report = check_weakly_alpha(shape, label_all(shape))
+        _, report = verify_with_weak_alpha(shape, label_all(shape))
         assert report.claimed_k is None
 
     def test_non_graceful_input_rejected(self):
         shape = build_shape((2,))
-        corrupted = records_from_assignment(shape, {(): 0, (0,): 2, (1,): 2})
-        with pytest.raises(NotGracefulError):
-            check_weakly_alpha(shape, corrupted)
+        out_of_range = records_from_assignment(shape, {(): 0, (0,): 3, (1,): 1})
+        report, weak = verify_with_weak_alpha(shape, out_of_range)
+        assert not report.labels_in_range
+        assert weak is None
 
     def test_interval_matches_naive_scan(self):
         # Independent route: try every candidate k and check each edge.
@@ -112,7 +117,7 @@ class TestCheckWeaklyAlpha:
             shape = build_shape(degrees)
             if not 1 <= shape.edge_count <= 50:
                 continue
-            report = check_weakly_alpha(shape, label_all(shape))
+            _, report = verify_with_weak_alpha(shape, label_all(shape))
             edges = [
                 (min(r.label, r.parent_label), max(r.label, r.parent_label))
                 for r in label_all(shape)
@@ -138,7 +143,7 @@ class TestCheckWeaklyAlpha:
     def test_two_vertex_path_strict(self):
         # One edge (0, 1): k = 0 separates strictly under the interval rule.
         shape = build_shape((1,))
-        report = check_weakly_alpha(shape, label_all(shape))
+        _, report = verify_with_weak_alpha(shape, label_all(shape))
         assert report.feasible_k_range == (0, 1)
         assert report.strict_alpha_feasible
 
@@ -164,12 +169,13 @@ class TestBruteForce:
         shape = build_shape((2,))
         found = brute_force_graceful(shape)
         assert found is not None
-        assert verify_graceful(shape, found.records()).passed
+        report, _ = verify_with_weak_alpha(shape, records_from_assignment(shape, found))
+        assert report.passed
 
     def test_three_vertex_path_first_assignment(self):
         shape = build_shape((1, 1))
         found = brute_force_graceful(shape)
-        assert [found.label(v) for v in enumerate_vertices(shape)] == [0, 2, 1]
+        assert [found[v] for v in enumerate_vertices(shape)] == [0, 2, 1]
 
     def test_cap_enforced(self):
         with pytest.raises(SearchCapError):
@@ -185,7 +191,19 @@ class TestBruteForce:
             shape = build_shape(degrees)
             found = brute_force_graceful(shape, cap=7)
             assert found is not None, degrees
-            assert verify_graceful(shape, found.records()).passed, degrees
+            records = records_from_assignment(shape, found)
+            assert verify_with_weak_alpha(shape, records)[0].passed, degrees
+
+    def test_search_output_gets_separator_report(self):
+        # h_2 need not be a feasible separator outside the closed form.
+        for degrees, feasible in [((2, 1, 2), (2, 3)), ((2, 2, 1), None)]:
+            shape = build_shape(degrees)
+            found = brute_force_graceful(shape)
+            records = records_from_assignment(shape, found)
+            report, weak = verify_with_weak_alpha(shape, records)
+            assert report.passed, degrees
+            assert weak.feasible_k_range == feasible, degrees
+            assert weak.claimed_k == shape.level_sizes[1], degrees
 
 
 class TestCanonicalPathLabelling:
@@ -205,7 +223,9 @@ class TestCanonicalPathLabelling:
             shape = build_shape((1,) * (n - 1))
             labels = canonical_path_labelling(n)
             assignment = {(0,) * depth: labels[depth] for depth in range(n)}
-            report = verify_graceful(shape, records_from_assignment(shape, assignment))
+            report, _ = verify_with_weak_alpha(
+                shape, records_from_assignment(shape, assignment)
+            )
             assert report.passed, n
 
     def test_matches_closed_form(self):
