@@ -1,8 +1,12 @@
 """Command-line interface: label, invert, verify, oracle-compare, bench.
 
+``label`` only exports records; ``verify`` streams them into the verifier.
+
 Exit status contract, stable for scripting: 0 success/pass, 1 verification
-failure, 2 usage or input error, 3 capacity overflow, 4 I/O failure.  A
-reader that closes the output early (``| head``) ends the run quietly with 0.
+failure, 2 usage or input error, 3 capacity overflow (including a shape
+whose verifier bitmaps do not fit in memory), 4 I/O failure, 5 internal
+error (a ConsistencyError, which is always a bug).  A reader that closes
+the output early (``| head``) ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 PATH_ORACLE_MAX_VERTICES = 64
 
@@ -159,14 +164,6 @@ _WRITERS = {
 
 def cmd_label(args: argparse.Namespace) -> int:
     shape = _shape_from(args)
-    if args.verify_only:
-        report = verify_with_weak_alpha(shape, label_all(shape))[0]
-        print(f"streamed {shape.vertex_count} vertices, {shape.edge_count} edges")
-        print(f"graceful: {'pass' if report.passed else 'FAIL'}")
-        if not report.passed:
-            _print_counterexamples(report)
-            return EXIT_VERIFY_FAILED
-        return EXIT_OK
     with _open_out(args.out) as out:
         _WRITERS[args.format](shape, out)
     return EXIT_OK
@@ -176,8 +173,7 @@ def _describe_state(state: DecodeState) -> str:
     if state.chain == "root":
         return "level 1: label 0 is the root"
     digits = format_vertex(state.digits)
-    rem = state.even_remainder if state.chain == "even" else state.odd_remainder
-    status = "resolved" if state.found else f"remainder {rem}"
+    status = "resolved" if state.found else f"remainder {state.remainder}"
     return f"level {state.level} [{state.chain} chain] digits {digits}: {status}"
 
 
@@ -187,11 +183,10 @@ def cmd_invert(args: argparse.Namespace) -> int:
         states = trace_inversion(shape, args.label)
         for state in states:
             print(_describe_state(state))
-        final = states[-1]
-        print(f"{format_vertex(final.digits)} level {final.level}")
+        vertex = states[-1].digits
     else:
         vertex = invert_label(shape, args.label)
-        print(f"{format_vertex(vertex)} level {len(vertex) + 1}")
+    print(f"{format_vertex(vertex)} level {len(vertex) + 1}")
     return EXIT_OK
 
 
@@ -331,11 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_degrees_arguments(p)
     p.add_argument("--format", choices=sorted(_WRITERS), default="table")
     p.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
-    p.add_argument(
-        "--verify-only",
-        action="store_true",
-        help="stream into the verifier without writing records",
-    )
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("invert", help="decode a label back to its vertex")
@@ -386,9 +376,15 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except MemoryError:
+        print("error: out of memory for this shape", file=sys.stderr)
+        return EXIT_CAPACITY
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

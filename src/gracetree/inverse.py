@@ -8,6 +8,10 @@ remainder pins the vertex: the tested chain's digits are exactly its
 child-index sequence.  The scan always terminates by the deepest level,
 whose divisor is 1.
 
+``invert_label`` and ``trace_inversion`` share one decoding loop; the
+trace records one ``DecodeState(level, chain, digits, remainder)`` per
+level test.
+
 Several remainders are provably non-zero for valid inputs (for example the
 odd chain's first remainder, since a label divisible by h_2 would make the
 even chain resolve first).  Those facts are enforced as runtime checks
@@ -16,92 +20,77 @@ that raise ConsistencyError, never absorbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyError, InvalidVertexError, LabelRangeError
 from .shape import TreeShape, VertexId, validate_vertex
 
 
-@dataclass(frozen=True)
-class DecodeState:
-    """Snapshot of both division chains after one level test.
+class DecodeState(NamedTuple):
+    """One level test: the tested chain's digits and remainder after it.
 
     ``chain`` names the chain that was just tested ("even", "odd", or
-    "root" for the m = 0 short-circuit).  Remainders are None before the
-    corresponding chain has run; within one chain they strictly decrease
-    from test to test, which is the termination measure.
+    "root" for the m = 0 short-circuit, whose state is (1, "root", (), 0)).
+    The other chain's values are its own previous state in the same trace.
+    Within one chain the remainder strictly decreases from test to test,
+    which is the termination measure.
     """
 
-    m: int
-    m_prime: int
     level: int
     chain: str
-    even_digits: tuple[int, ...]
-    even_remainder: int | None
-    odd_digits: tuple[int, ...]
-    odd_remainder: int | None
-    found: bool
+    digits: tuple[int, ...]
+    remainder: int
 
     @property
-    def digits(self) -> tuple[int, ...]:
-        """Digit sequence of the chain that was just tested."""
-        if self.chain == "even":
-            return self.even_digits
-        if self.chain == "odd":
-            return self.odd_digits
-        return ()
+    def found(self) -> bool:
+        """Whether this test resolved the label."""
+        return self.remainder == 0
 
 
-def invert_label(
-    shape: TreeShape, m: int, _trace: list[DecodeState] | None = None
-) -> VertexId:
+def invert_label(shape: TreeShape, m: int) -> VertexId:
     """Return the unique vertex whose graceful label is m.
 
     Raises LabelRangeError if m is outside [0, edge_count] and
     ConsistencyError on any internal invariant breach (which would mean a
     bug, since the label function is a bijection onto [0, edge_count]).
     """
+    return _decode(shape, m, None)
+
+
+def trace_inversion(shape: TreeShape, m: int) -> list[DecodeState]:
+    """Every decoder state for label m, ending at the resolving test."""
+    trace: list[DecodeState] = []
+    _decode(shape, m, trace)
+    return trace
+
+
+def _decode(shape: TreeShape, m: int, trace: list[DecodeState] | None) -> VertexId:
     if not 0 <= m <= shape.edge_count:
         raise LabelRangeError(
             f"label {m} outside [0, {shape.edge_count}] for this shape"
         )
-    m_prime = shape.edge_count - m  # k_1 * h_2 - m
-
-    def snapshot(level, chain, even_digits, even_rem, odd_digits, odd_rem, found):
-        if _trace is not None:
-            _trace.append(
-                DecodeState(
-                    m, m_prime, level, chain,
-                    tuple(even_digits), even_rem,
-                    tuple(odd_digits), odd_rem, found,
-                )
-            )
-
     if m == 0:
-        snapshot(1, "root", (), None, (), None, True)
+        if trace is not None:
+            trace.append(DecodeState(1, "root", (), 0))
         return ()
 
     sizes = shape.level_sizes
-    even_digits: list[int] = []
-    odd_digits: list[int] = []
-
-    # Level 2: a single division of m' by h_2.
-    digit, even_rem = divmod(m_prime, sizes[1])
-    even_digits.append(digit)
-    found = even_rem == 0
-    snapshot(2, "even", even_digits, even_rem, odd_digits, None, found)
-    if found:
-        return _decoded(shape, 2, even_digits)
+    # Level 2: a single division of m' = k_1 * h_2 - m by h_2.
+    digit, rem = divmod(shape.edge_count - m, sizes[1])
+    if trace is not None:
+        trace.append(DecodeState(2, "even", (digit,), rem))
+    if rem == 0:
+        return _decoded(shape, 2, [digit])
 
     # Deeper levels: two divisions per test, alternating chains.  The odd
     # chain's first test divides m itself; afterwards each chain continues
-    # from its own last remainder.
-    odd_rem = m
+    # from its own last remainder.  Both lists are indexed by level % 2.
+    chain_digits: tuple[list[int], list[int]] = ([digit], [])
+    chain_rems = [rem, m]
     for level in range(3, shape.levels + 1):
-        odd = level % 2 == 1
-        digits = odd_digits if odd else even_digits
-        rem = odd_rem if odd else even_rem
-        digit, rem = divmod(rem, sizes[level - 2])
+        parity = level % 2
+        digits = chain_digits[parity]
+        digit, rem = divmod(chain_rems[parity], sizes[level - 2])
         if rem == 0:
             raise ConsistencyError(
                 f"zero remainder entering the level-{level} test for label {m}; "
@@ -110,16 +99,11 @@ def invert_label(
         digits.append(digit)
         digit, rem = divmod(rem - 1, sizes[level - 1])
         digits.append(digit)
-        found = rem == 0
-        if odd:
-            odd_rem = rem
-        else:
-            even_rem = rem
-        snapshot(
-            level, "odd" if odd else "even",
-            even_digits, even_rem, odd_digits, odd_rem, found,
-        )
-        if found:
+        chain_rems[parity] = rem
+        if trace is not None:
+            chain = "odd" if parity else "even"
+            trace.append(DecodeState(level, chain, tuple(digits), rem))
+        if rem == 0:
             return _decoded(shape, level, digits)
     raise ConsistencyError(
         f"label {m} unresolved after level {shape.levels}; "
@@ -139,10 +123,3 @@ def _decoded(shape: TreeShape, level: int, digits: list[int]) -> VertexId:
             f"but the scan resolved level {level}"
         )
     return vertex
-
-
-def trace_inversion(shape: TreeShape, m: int) -> list[DecodeState]:
-    """Every decoder snapshot for label m, ending at the resolving test."""
-    trace: list[DecodeState] = []
-    invert_label(shape, m, _trace=trace)
-    return trace

@@ -12,9 +12,9 @@ import pytest
 
 import gracetree
 from gracetree import (
-    ConsistencyError,
     brute_force_graceful,
     build_shape,
+    enumerate_vertices,
     records_from_assignment,
 )
 from gracetree import cli
@@ -104,15 +104,10 @@ class TestLabelCommand:
         code, out, _ = run(capsys, "label", "2,3,4", "--format", "csv", "--out", str(target))
         assert code == 0
         assert out == ""
-        rows = list(csv.reader(target.open()))
+        with target.open() as handle:
+            rows = list(csv.reader(handle))
         assert len(rows) - 1 == 33
         assert [int(r[2]) for r in rows[1:]] == list(EXAMPLE_LABELS)
-
-    def test_verify_only_streams(self, capsys):
-        code, out, _ = run(capsys, "label", "2,2,2,2,2,2,2,2,2,2", "--verify-only")
-        assert code == 0
-        assert "streamed 2047 vertices" in out
-        assert "graceful: pass" in out
 
     def test_degrees_flag(self, capsys):
         code, out, _ = run(capsys, "label", "--degrees", "2,2", "--format", "csv")
@@ -173,9 +168,25 @@ class TestVerifyCommand:
         monkeypatch.setattr(
             cli, "label_all", lambda shape: records_from_assignment(shape, found)
         )
-        with pytest.raises(ConsistencyError):
-            main(["verify", "2,1,2"])
-        capsys.readouterr()
+        code, out, err = run(capsys, "verify", "2,1,2")
+        assert code == 5
+        assert err.startswith("internal error: separator 4 not in feasible interval")
+        assert "result: PASS" not in out
+
+    def test_failure_lists_counterexamples(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli,
+            "label_all",
+            lambda shape: records_from_assignment(
+                shape, {v: 0 for v in enumerate_vertices(shape)}
+            ),
+        )
+        code, out, _ = run(capsys, "verify", "2,3,4")
+        assert code == 1
+        assert "vertices: 33  edges: 32" in out
+        assert "result: FAIL" in out
+        assert out.count("  counterexample: ") == 10
+        assert "  ... and 54 more\n" in out
 
 
 class TestOracleCompareCommand:
@@ -238,6 +249,15 @@ class TestExitStatuses:
         assert code == 3
         assert "64-bit" in err
 
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_bitmaps_beyond_memory(self, capsys, command):
+        # About 2^61 bytes of bitmap: more than any 64-bit address space.
+        code, out, err = run(capsys, command, "4294967295,4294967295")
+        assert code == 3
+        assert err.startswith("error: ") and "memory" in err
+        assert len(err.splitlines()) == 1
+        assert "result:" not in out
+
     def test_io_failure(self, capsys, tmp_path):
         missing = tmp_path / "no-such-dir" / "x.csv"
         code, _, err = run(capsys, "label", "2,2", "--out", str(missing))
@@ -260,14 +280,14 @@ class TestExitStatuses:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(gracetree.__file__))
         degrees = ",".join(["2"] * 16)  # several MB of csv, far beyond a pipe buffer
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "gracetree", "label", degrees, "--format", "csv"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
-        )
-        assert proc.stdout.readline() == b"vertex,level,label,parent_label,edge_label\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
+        ) as proc:
+            assert proc.stdout.readline() == b"vertex,level,label,parent_label,edge_label\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
         assert err == b""

@@ -63,7 +63,7 @@ class TestTraceInversion:
         assert [s.chain for s in states] == ["even", "odd", "even"]
         assert states[-1].found
         assert states[-1].digits == (1, 1, 0)
-        assert states[-1].even_digits == (1, 1, 0)
+        assert [s for s in states if s.chain == "even"][-1].digits == (1, 1, 0)
 
     def test_single_step_decode(self, example_shape):
         states = trace_inversion(example_shape, 32)
@@ -71,39 +71,41 @@ class TestTraceInversion:
         assert states[0].chain == "even"
         assert states[0].found
         assert states[0].digits == (0,)
-        assert states[0].even_remainder == 0
+        assert states[0].remainder == 0
 
     def test_root_short_circuit(self):
         states = trace_inversion(build_shape(()), 0)
-        assert len(states) == 1
-        assert states[0].level == 1
+        assert states == [(1, "root", (), 0)]
+        assert states[0].found
         assert states[0].digits == ()
 
-    def test_final_state_matches_invert(self, example_shape):
-        for m in range(example_shape.edge_count + 1):
-            states = trace_inversion(example_shape, m)
-            assert states[-1].found
-            assert states[-1].digits == invert_label(example_shape, m)
+    def test_final_state_matches_invert(self):
+        # The traced and untraced runs of the one decoder agree everywhere.
+        for degrees in sweep_degree_sequences(max_levels=5):
+            shape = build_shape(degrees)
+            for m in range(shape.edge_count + 1):
+                states = trace_inversion(shape, m)
+                assert states[-1].found
+                assert not any(s.found for s in states[:-1])
+                assert states[-1].digits == invert_label(shape, m)
+                assert states[-1].level == len(states[-1].digits) + 1
 
     def test_remainders_strictly_decrease_per_chain(self, example_shape):
         # Termination measure: within one chain, the recorded remainder
         # shrinks on every successive test.
         for m in range(1, example_shape.edge_count + 1):
             states = trace_inversion(example_shape, m)
-            for chain, pick in (
-                ("even", lambda s: s.even_remainder),
-                ("odd", lambda s: s.odd_remainder),
-            ):
-                remainders = [pick(s) for s in states if s.chain == chain]
+            for chain in ("even", "odd"):
+                remainders = [s.remainder for s in states if s.chain == chain]
                 assert all(a > b for a, b in zip(remainders, remainders[1:]))
 
     def test_mixed_parity_chain_state(self, example_shape):
-        # After an odd-level resolution the even chain keeps its partial
-        # digit list in the snapshot.
+        # After an odd-level resolution the even chain's partial digits
+        # are those of its last state in the trace.
         states = trace_inversion(example_shape, 11)  # vertex (0, 2), level 3
         assert states[-1].chain == "odd"
         assert states[-1].digits == (0, 2)
-        assert len(states[-1].even_digits) == 1
+        assert len([s for s in states if s.chain == "even"][-1].digits) == 1
 
     def test_out_of_range(self, example_shape):
         with pytest.raises(LabelRangeError):
