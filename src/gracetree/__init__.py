@@ -17,12 +17,15 @@ from .errors import (
 )
 from .inverse import DecodeState, invert_label, trace_inversion
 from .labelling import (
+    BLOCK,
+    Block,
     LabelledVertex,
+    blocks_from_assignment,
     edge_label,
     enumerate_vertices,
     label_all,
+    label_blocks,
     label_vertex,
-    records_from_assignment,
 )
 from .shape import (
     TreeShape,
@@ -45,6 +48,8 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BLOCK",
+    "Block",
     "CapacityError",
     "ConsistencyError",
     "Counterexample",
@@ -60,6 +65,7 @@ __all__ = [
     "VertexId",
     "WeaklyAlphaReport",
     "auxiliary_bitmap_bytes",
+    "blocks_from_assignment",
     "brute_force_graceful",
     "build_shape",
     "canonical_path_labelling",
@@ -68,9 +74,9 @@ __all__ = [
     "format_vertex",
     "invert_label",
     "label_all",
+    "label_blocks",
     "label_vertex",
     "parse_degree_sequence",
-    "records_from_assignment",
     "trace_inversion",
     "validate_vertex",
     "verify_with_weak_alpha",

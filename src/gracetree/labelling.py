@@ -11,14 +11,26 @@ The divisions by 2 are exact for the matching parity of r.  Every edge
 then carries the absolute difference of its endpoint labels.  That this
 assignment is graceful is machine-checked by the verification module
 rather than taken on faith.
+
+Whole trees are labelled in blocks: runs of at most BLOCK vertices of one
+level, contiguous in canonical order, whose labels are one precomputed
+offset table shifted by a per-block base.  ``label_blocks`` is the core;
+``label_all`` expands it into one record per vertex.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from operator import mul
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import ConsistencyError, InvalidVertexError, LabellingStreamError
 from .shape import TreeShape, VertexId, validate_vertex
+
+# Most vertices in one block.  Per-block scratch (the offset tables here,
+# the masks in the verifier) grows with it, while each block's fixed cost
+# is spread over more vertices.
+BLOCK = 1024
 
 
 class LabelledVertex(NamedTuple):
@@ -30,6 +42,25 @@ class LabelledVertex(NamedTuple):
     vertex: VertexId
     label: int
     parent_label: int | None
+
+
+class Block(NamedTuple):
+    """A run of vertices of one level, contiguous in canonical order.
+
+    The vertices are ``prefix + suffix`` for every ``suffix`` in
+    ``itertools.product(*ranges)``, in that order; ``labels[i]`` and
+    ``parent_labels[i]`` belong to the i-th of them.  Only the root's
+    one-vertex block has ``parent_labels`` None.
+    """
+
+    prefix: VertexId
+    ranges: tuple[range, ...]
+    labels: list[int]
+    parent_labels: list[int] | None
+
+    def vertices(self) -> Iterator[VertexId]:
+        """The block's vertex ids, built only when asked for."""
+        return map(self.prefix.__add__, product(*self.ranges))
 
 
 def label_vertex(shape: TreeShape, vertex: VertexId) -> int:
@@ -68,53 +99,84 @@ def edge_label(shape: TreeShape, child: VertexId) -> int:
     return abs(label_vertex(shape, child) - label_vertex(shape, child[:-1]))
 
 
-def label_all(shape: TreeShape) -> Iterator[LabelledVertex]:
-    """Stream one record per vertex in canonical breadth-first order.
+def label_blocks(shape: TreeShape) -> Iterator[Block]:
+    """Stream the closed-form labelling as blocks in canonical order.
 
-    The root record carries no parent label.  State is a single
-    mixed-radix odometer whose weighted digit sum is updated in place, so
-    emitting a record costs O(1) arithmetic and memory never depends on
-    the vertex count; multi-million-vertex trees stream in constant space.
+    Per level, the lowest digits whose combinations fit in BLOCK are
+    expanded in full, and the digit above them (the split digit) in chunks
+    of as many values as still fit; one offset table of weighted digit sums
+    covers every block of the level.  A mixed-radix odometer over the
+    remaining high digits moves the base, so labelling costs two C-level
+    maps per block and memory never depends on the vertex count, however
+    long a sibling run is.
     """
-    yield LabelledVertex((), 0, None)
+    yield Block((), (), [0], None)
     degrees = shape.degrees
     sizes = shape.level_sizes
     edges = shape.edge_count
     for level in range(2, shape.levels + 1):
         width = level - 1
         weights = sizes[1:level]  # digit i multiplies h_{i+2}
+        # The parent's weighted sum drops the child digit.
+        parent_weights = weights[:-1] + (0,)
         radices = degrees[:width]
-        # A carry that stops at digit j bumps the weighted sum by the
-        # digit's own weight minus everything released by the maxed-out
-        # digits to its right.
-        released = 0
-        deltas = [0] * width
-        for j in range(width - 1, -1, -1):
-            deltas[j] = weights[j] - released
-            released += (radices[j] - 1) * weights[j]
-        last_weight = weights[-1]
-        even = level % 2 == 0
-        half = (level - 2) // 2 if even else (level - 1) // 2
-        parent_half = (level - 2) // 2 if even else (level - 3) // 2
-        digits = [0] * width
-        dot = 0
+        # Odd levels add the weighted digit sum to their base and even
+        # levels subtract it; parents sit on the other side.
+        half = (level - 1) // 2
+        if level % 2:
+            sign, base, parent_base = 1, half, edges - half + 1
+        else:
+            sign, base, parent_base = -1, edges - half, half
+        split, span = width - 1, 1
+        while split > 0 and span * radices[split] <= BLOCK:
+            span *= radices[split]
+            split -= 1
+        chunk = min(BLOCK // span, radices[split])
+        full_ranges = tuple(map(range, radices[split + 1:]))
+        # Signed offsets of every vertex of a chunk that starts at split
+        # digit 0, for its label and for its parent's label.
+        dots, parent_dots = [0], [0]
+        for j in range(split, width):
+            values = range(chunk if j == split else radices[j])
+            dots = [d + sign * x * weights[j] for d in dots for x in values]
+            parent_dots = [
+                d - sign * x * parent_weights[j] for d in parent_dots for x in values
+            ]
+        # An odometer over the digits above the split digit; each setting
+        # is the shared prefix of one run of chunks.
+        digits = [0] * split
         while True:
-            parent_dot = dot - digits[-1] * last_weight
-            if even:
-                label = edges - dot - half
-                parent_label = parent_dot + parent_half
-            else:
-                label = dot + half
-                parent_label = edges - parent_dot - parent_half
-            yield LabelledVertex(tuple(digits), label, parent_label)
-            for j in reversed(range(width)):
+            prefix = tuple(digits)
+            dot = sum(map(mul, digits, weights))
+            for first in range(0, radices[split], chunk):
+                last = min(first + chunk, radices[split])
+                size = (last - first) * span
+                label_shift = base + sign * (dot + first * weights[split])
+                parent_shift = parent_base - sign * (dot + first * parent_weights[split])
+                yield Block(
+                    prefix,
+                    (range(first, last),) + full_ranges,
+                    list(map(label_shift.__add__, dots[:size])),
+                    list(map(parent_shift.__add__, parent_dots[:size])),
+                )
+            for j in reversed(range(split)):
                 digits[j] += 1
                 if digits[j] < radices[j]:
-                    dot += deltas[j]
                     break
                 digits[j] = 0
             else:
                 break
+
+
+def label_all(shape: TreeShape) -> Iterator[LabelledVertex]:
+    """Stream one record per vertex in canonical breadth-first order.
+
+    The root record carries no parent label.  Records are the expansion
+    of ``label_blocks``, so memory never depends on the vertex count.
+    """
+    for block in label_blocks(shape):
+        parents = block.parent_labels or (None,)
+        yield from map(LabelledVertex, block.vertices(), block.labels, parents)
 
 
 def enumerate_vertices(shape: TreeShape) -> Iterator[VertexId]:
@@ -123,16 +185,17 @@ def enumerate_vertices(shape: TreeShape) -> Iterator[VertexId]:
     Level by level, and within a level in lexicographic order of the
     child-index sequences.  This is the canonical order for all outputs.
     """
-    for rec in label_all(shape):
-        yield rec.vertex
+    for block in label_blocks(shape):
+        yield from block.vertices()
 
 
-def records_from_assignment(
+def blocks_from_assignment(
     shape: TreeShape, assignment: Mapping[VertexId, int]
-) -> Iterator[LabelledVertex]:
-    """Stream records for an explicit vertex -> label mapping in canonical order.
+) -> Iterator[Block]:
+    """Stream an explicit vertex -> label mapping as blocks in canonical order.
 
-    The mapping must cover every vertex exactly once; otherwise
+    The blocks partition the tree exactly as ``label_blocks`` does.  The
+    mapping must cover every vertex exactly once; otherwise
     LabellingStreamError is raised.
     """
     if len(assignment) != shape.vertex_count:
@@ -140,12 +203,12 @@ def records_from_assignment(
             f"assignment covers {len(assignment)} vertices, "
             f"expected {shape.vertex_count}"
         )
-    for vertex in enumerate_vertices(shape):
+    for block in label_blocks(shape):
         try:
-            label = assignment[vertex]
-        except KeyError:
-            raise LabellingStreamError(
-                f"assignment missing vertex {vertex}"
-            ) from None
-        parent_label = assignment[vertex[:-1]] if vertex else None
-        yield LabelledVertex(vertex, label, parent_label)
+            labels = [assignment[vertex] for vertex in block.vertices()]
+        except KeyError as exc:
+            raise LabellingStreamError(f"assignment missing vertex {exc.args[0]}") from None
+        parents = None
+        if block.parent_labels is not None:
+            parents = [assignment[vertex[:-1]] for vertex in block.vertices()]
+        yield block._replace(labels=labels, parent_labels=parents)

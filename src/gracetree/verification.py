@@ -1,20 +1,33 @@
 """Independent checks and oracles for graceful labellings.
 
 Nothing here trusts the closed form or the stream: one pass of
-``verify_with_weak_alpha`` checks gracefulness against two presence
-bitmaps, recomputing every edge label from its end labels, and takes the
-weak separator interval from per-edge extremes.  Paths have their own
-zig-zag oracle, and small shapes can be searched exhaustively.
+``verify_with_weak_alpha`` over a block stream checks gracefulness against
+two presence bitmaps, recomputing every edge label from its end labels,
+and takes the weak separator interval from per-edge extremes.  Whole
+blocks are marked through integer masks; a block that could hold a fault
+is checked record by record, so every label is still tested against the
+bitmaps.  Paths have their own zig-zag oracle, and
+small shapes can be searched exhaustively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, sub
 from typing import Iterable, NamedTuple
 
 from .errors import LabellingStreamError, SearchCapError
-from .labelling import LabelledVertex, enumerate_vertices
+from .labelling import Block, enumerate_vertices
 from .shape import TreeShape, VertexId
+
+# A block is marked through one scratch mask only when its values span at
+# most MASK_BITS_PER_VALUE bits per value plus MASK_SLACK_BITS, which caps
+# the mask's digit buffer near 66 KB at BLOCK = 1024.  Sparser blocks (the
+# shallow levels of deep trees) are checked record by record.
+MASK_BITS_PER_VALUE = 64
+MASK_SLACK_BITS = 64
+ONE_DIGIT = ord("1")
 
 
 class Counterexample(NamedTuple):
@@ -66,21 +79,61 @@ def auxiliary_bitmap_bytes(shape: TreeShape) -> int:
     return (e + 8) // 8 + (e + 7) // 8
 
 
+def _block_marks(
+    bitmap: bytearray, values: list[int], first: int, last: int
+) -> tuple[int, int, int] | None:
+    """The bitmap bytes one block's values would set, or None to check per record.
+
+    ``values`` map to bits ``value - first`` and must lie in [first, last].
+    Returns ``(start, stop, window)``: ``window`` is ``bitmap[start:stop]``
+    read as a little-endian integer with the values' bits added.  None when
+    a value is out of range, repeats, is already marked, or the values are
+    too sparse for a mask of bounded size; the bitmap is never written.
+    """
+    low = min(values)
+    high = max(values)
+    span = high - low + 1
+    if low < first or high > last:
+        return None
+    if span > MASK_BITS_PER_VALUE * len(values) + MASK_SLACK_BITS:
+        return None
+    # Base-2 digits, most significant first: the digit at high - v is bit
+    # v - low of the mask.  int() reads power-of-two bases in linear time.
+    digits = bytearray(b"0") * span
+    for value in values:
+        digits[high - value] = ONE_DIGIT
+    if digits.count(ONE_DIGIT) != len(values):
+        return None
+    start = (low - first) // 8
+    stop = (high - first) // 8 + 1
+    window = int.from_bytes(bitmap[start:stop], "little")
+    mask = int(digits, 2) << (low - first - 8 * start)
+    if window & mask:
+        return None
+    return start, stop, window | mask
+
+
 def verify_with_weak_alpha(
-    shape: TreeShape, records: Iterable[LabelledVertex]
+    shape: TreeShape, blocks: Iterable[Block]
 ) -> tuple[VerificationReport, WeaklyAlphaReport | None]:
     """Check a full labelling stream for gracefulness and separators in one pass.
 
     Vertex labels must be pairwise distinct within [0, |E|] and the
     induced edge labels pairwise distinct within [1, |E|]; together that
-    forces the edge labels to be exactly {1, ..., |E|}.  The stream must
+    forces the edge labels to be exactly {1, ..., |E|}.  The blocks must
     cover every vertex exactly once, else LabellingStreamError.
+
+    Each block's labels and induced edge labels are marked in the two
+    presence bitmaps through one integer mask each.
+    A block that is out of range, repeats a label, overlaps labels already
+    marked, or is too sparse for a bounded mask is checked record by record
+    instead, which names every counterexample in stream order.
 
     The weak-separator report is None when verification fails; its
     feasible interval is the intersection of the per-edge [min, max]
     intervals.  Memory is two bitmaps (vertex labels 0..|E|, edge labels
-    1..|E|) plus constant per-record state, so multi-million-vertex
-    streams are fine.
+    1..|E|) plus per-block scratch bounded by BLOCK and the mask
+    constants, so multi-million-vertex streams are fine.
     """
     expected = shape.vertex_count
     edge_count = shape.edge_count
@@ -92,52 +145,79 @@ def verify_with_weak_alpha(
     edges_seen = 0
     lo = 0  # max over edges of min(end labels)
     hi: int | None = None  # min over edges of max(end labels)
-    for vertex, label, parent_label in records:
-        count += 1
+    for block in blocks:
+        labels = block.labels
+        parent_labels = block.parent_labels
+        count += len(labels)
         if count > expected:
             raise LabellingStreamError(f"stream longer than {expected} vertices")
-        if 0 <= label <= edge_count:
-            byte, bit = divmod(label, 8)
-            mask = 1 << bit
-            if vertex_bits[byte] & mask:
-                distinct = False
-                counterexamples.append(
-                    Counterexample("duplicate vertex label", vertex, label)
-                )
-            else:
-                vertex_bits[byte] |= mask
-        else:
-            in_range = False
-            counterexamples.append(
-                Counterexample("vertex label out of range", vertex, label)
+        if parent_labels is not None:
+            edge_labels = list(map(abs, map(sub, labels, parent_labels)))
+            vertex_marks = _block_marks(vertex_bits, labels, 0, edge_count)
+            edge_marks = vertex_marks and _block_marks(
+                edge_bits, edge_labels, 1, edge_count
             )
-        if parent_label is None:
-            continue
-        edges_seen += 1
-        induced = abs(label - parent_label)
-        if 1 <= induced <= edge_count:
-            byte, bit = divmod(induced - 1, 8)
-            mask = 1 << bit
-            if edge_bits[byte] & mask:
+            if edge_marks:
+                for bitmap, (start, stop, window) in (
+                    (vertex_bits, vertex_marks),
+                    (edge_bits, edge_marks),
+                ):
+                    bitmap[start:stop] = window.to_bytes(stop - start, "little")
+                edges_seen += len(labels)
+                # label + parent -/+ edge label is twice the smaller/larger end.
+                sums = list(map(add, labels, parent_labels))
+                small = max(map(sub, sums, edge_labels)) // 2
+                large = min(map(add, sums, edge_labels)) // 2
+                if small > lo:
+                    lo = small
+                if hi is None or large < hi:
+                    hi = large
+                continue
+        for vertex, label, parent_label in zip(
+            block.vertices(), labels, parent_labels or repeat(None)
+        ):
+            if 0 <= label <= edge_count:
+                byte, bit = divmod(label, 8)
+                mask = 1 << bit
+                if vertex_bits[byte] & mask:
+                    distinct = False
+                    counterexamples.append(
+                        Counterexample("duplicate vertex label", vertex, label)
+                    )
+                else:
+                    vertex_bits[byte] |= mask
+            else:
+                in_range = False
+                counterexamples.append(
+                    Counterexample("vertex label out of range", vertex, label)
+                )
+            if parent_label is None:
+                continue
+            edges_seen += 1
+            induced = abs(label - parent_label)
+            if 1 <= induced <= edge_count:
+                byte, bit = divmod(induced - 1, 8)
+                mask = 1 << bit
+                if edge_bits[byte] & mask:
+                    complete = False
+                    counterexamples.append(
+                        Counterexample("duplicate edge label", vertex, induced)
+                    )
+                else:
+                    edge_bits[byte] |= mask
+            else:
                 complete = False
                 counterexamples.append(
-                    Counterexample("duplicate edge label", vertex, induced)
+                    Counterexample("edge label out of range", vertex, induced)
                 )
+            if label < parent_label:
+                small, large = label, parent_label
             else:
-                edge_bits[byte] |= mask
-        else:
-            complete = False
-            counterexamples.append(
-                Counterexample("edge label out of range", vertex, induced)
-            )
-        if label < parent_label:
-            small, large = label, parent_label
-        else:
-            small, large = parent_label, label
-        if small > lo:
-            lo = small
-        if hi is None or large < hi:
-            hi = large
+                small, large = parent_label, label
+            if small > lo:
+                lo = small
+            if hi is None or large < hi:
+                hi = large
     if count != expected:
         raise LabellingStreamError(
             f"stream covered {count} vertices, expected {expected}"
@@ -181,32 +261,35 @@ def brute_force_graceful(
     vertex_used = [False] * (edge_count + 1)
     edge_used = [False] * (edge_count + 1)
 
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
+    # An explicit stack of next candidates, one per vertex, instead of one
+    # Python frame per vertex: deep trees must not hit the recursion limit.
+    next_candidate = [0] * (n + 1)
+    i = 0
+    while i < n:
         parent_index = parents[i]
-        for candidate in range(edge_count + 1):
+        for candidate in range(next_candidate[i], edge_count + 1):
             if vertex_used[candidate]:
                 continue
-            if parent_index is None:
-                gap = None
-            else:
+            if parent_index is not None:
                 gap = abs(candidate - labels[parent_index])
                 if gap == 0 or edge_used[gap]:
                     continue
+                edge_used[gap] = True
             labels[i] = candidate
             vertex_used[candidate] = True
-            if gap is not None:
-                edge_used[gap] = True
-            if extend(i + 1):
-                return True
-            vertex_used[candidate] = False
-            if gap is not None:
-                edge_used[gap] = False
-        return False
-
-    if not extend(0):
-        return None
+            next_candidate[i] = candidate + 1
+            i += 1
+            next_candidate[i] = 0
+            break
+        else:
+            # Every candidate failed: undo the previous vertex and move on
+            # to its next candidate.
+            i -= 1
+            if i < 0:
+                return None
+            vertex_used[labels[i]] = False
+            if parents[i] is not None:
+                edge_used[abs(labels[i] - labels[parents[i]])] = False
     return dict(zip(order, labels))
 
 

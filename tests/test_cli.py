@@ -12,10 +12,10 @@ import pytest
 
 import gracetree
 from gracetree import (
+    blocks_from_assignment,
     brute_force_graceful,
     build_shape,
     enumerate_vertices,
-    records_from_assignment,
 )
 from gracetree import cli
 from gracetree.cli import main
@@ -166,7 +166,7 @@ class TestVerifyCommand:
         # closed form never yields one, so verify treats it as a bug.
         found = brute_force_graceful(build_shape((2, 1, 2)))
         monkeypatch.setattr(
-            cli, "label_all", lambda shape: records_from_assignment(shape, found)
+            cli, "label_blocks", lambda shape: blocks_from_assignment(shape, found)
         )
         code, out, err = run(capsys, "verify", "2,1,2")
         assert code == 5
@@ -176,8 +176,8 @@ class TestVerifyCommand:
     def test_failure_lists_counterexamples(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli,
-            "label_all",
-            lambda shape: records_from_assignment(
+            "label_blocks",
+            lambda shape: blocks_from_assignment(
                 shape, {v: 0 for v in enumerate_vertices(shape)}
             ),
         )
@@ -216,6 +216,15 @@ class TestOracleCompareCommand:
         code, out, _ = run(capsys, "oracle-compare", "2,2", "--cap", "7")
         assert code == 0
         assert "search oracle" in out
+
+    def test_search_deeper_than_the_recursion_limit(self, capsys):
+        # A 1,101-vertex star: the search succeeds greedily, one level of
+        # backtracking state per vertex.
+        code, out, err = run(capsys, "oracle-compare", "1100", "--cap", "2000")
+        assert code == 0, err
+        assert "closed form: graceful" in out
+        assert "search oracle: found a different valid labelling" in out
+        assert err == ""
 
     def test_long_path_uses_path_oracle_only(self, capsys):
         code, out, _ = run(capsys, "oracle-compare", ",".join(["1"] * 63))

@@ -1,16 +1,20 @@
 """Closed-form vertex labels, edge labels, and the streaming labeller."""
 
+from itertools import chain, islice, product
+
 import pytest
 
 from gracetree import (
+    BLOCK,
     InvalidVertexError,
     LabellingStreamError,
+    blocks_from_assignment,
     build_shape,
     edge_label,
     enumerate_vertices,
     label_all,
+    label_blocks,
     label_vertex,
-    records_from_assignment,
 )
 from helpers import (
     EXAMPLE_DEGREES,
@@ -108,23 +112,84 @@ class TestLabelAll:
                 next(order)
 
 
+def canonical_order(degrees):
+    """Every vertex level by level, each level in lexicographic order."""
+    return chain.from_iterable(
+        product(*map(range, degrees[:width])) for width in range(len(degrees) + 1)
+    )
+
+
+class TestLabelBlocks:
+    @pytest.mark.parametrize("degrees", [(5000, 3), (3, 5000), (1,) * 60, (2, 3, 4)])
+    def test_partition(self, degrees):
+        # Blocks hold at most BLOCK vertices of one level and concatenate
+        # to the canonical order.
+        shape = build_shape(degrees)
+        blocks = list(label_blocks(shape))
+        for block in blocks:
+            vertices = list(block.vertices())
+            assert 1 <= len(vertices) <= BLOCK
+            assert len(block.labels) == len(vertices)
+            assert {len(vertex) for vertex in vertices} == {
+                len(block.prefix) + len(block.ranges)
+            }
+            assert (block.parent_labels is None) == (vertices == [()])
+            if block.parent_labels is not None:
+                assert len(block.parent_labels) == len(vertices)
+        streamed = chain.from_iterable(block.vertices() for block in blocks)
+        assert list(streamed) == list(canonical_order(degrees))
+
+    def test_long_sibling_run_is_split(self):
+        # A million children of the root: only the first blocks are built.
+        shape = build_shape((10**6,))
+        root, *firsts = islice(label_blocks(shape), 4)
+        assert list(root.vertices()) == [()]
+        assert root.parent_labels is None
+        for index, block in enumerate(firsts):
+            vertices = list(block.vertices())
+            assert vertices == [(x,) for x in range(index * BLOCK, (index + 1) * BLOCK)]
+            assert block.labels == [label_vertex(shape, v) for v in vertices]
+            assert block.parent_labels == [0] * BLOCK
+
+    def test_labels_agree_with_pointwise_over_sweep(self):
+        for degrees in sweep_degree_sequences():
+            shape = build_shape(degrees)
+            for block in label_blocks(shape):
+                vertices = list(block.vertices())
+                assert block.labels == [label_vertex(shape, v) for v in vertices]
+                if block.parent_labels is not None:
+                    assert block.parent_labels == [
+                        label_vertex(shape, v[:-1]) for v in vertices
+                    ]
+
+    def test_assignment_blocks_equal_closed_form_blocks(self):
+        for degrees in sweep_degree_sequences():
+            shape = build_shape(degrees)
+            assignment = {r.vertex: r.label for r in label_all(shape)}
+            assert list(blocks_from_assignment(shape, assignment)) == list(
+                label_blocks(shape)
+            ), degrees
+
+
 class TestRecordsFromAssignment:
+    """blocks_from_assignment, which replaced records_from_assignment."""
+
     def test_roundtrip_with_closed_form(self):
         shape = build_shape((2, 2))
         assignment = {r.vertex: r.label for r in label_all(shape)}
-        assert list(records_from_assignment(shape, assignment)) == list(label_all(shape))
+        assert list(blocks_from_assignment(shape, assignment)) == list(label_blocks(shape))
 
     def test_missing_vertex(self):
         shape = build_shape((2,))
         with pytest.raises(LabellingStreamError):
-            list(records_from_assignment(shape, {(): 0, (0,): 1}))
+            list(blocks_from_assignment(shape, {(): 0, (0,): 1}))
 
     def test_wrong_size_assignment_rejected(self):
         shape = build_shape((1, 1))
         with pytest.raises(LabellingStreamError):
-            list(records_from_assignment(shape, {(): 0}))
+            list(blocks_from_assignment(shape, {(): 0}))
 
     def test_wrong_vertices_rejected(self):
         shape = build_shape((1, 1))
         with pytest.raises(LabellingStreamError):
-            list(records_from_assignment(shape, {(): 0, (0,): 2, (9, 9): 1}))
+            list(blocks_from_assignment(shape, {(): 0, (0,): 2, (9, 9): 1}))

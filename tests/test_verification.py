@@ -1,20 +1,25 @@
 """Gracefulness verification, separator feasibility, and the independent oracles."""
 
+import random
+from itertools import product
+
 import pytest
 
 from gracetree import (
     LabellingStreamError,
     SearchCapError,
     auxiliary_bitmap_bytes,
+    blocks_from_assignment,
     brute_force_graceful,
     build_shape,
     canonical_path_labelling,
     enumerate_vertices,
     label_all,
-    records_from_assignment,
+    label_blocks,
     verify_with_weak_alpha,
 )
-from helpers import degree_sequences_up_to, sweep_degree_sequences
+from gracetree.verification import MASK_BITS_PER_VALUE, MASK_SLACK_BITS
+from helpers import degree_sequences_up_to, reference_reports, sweep_degree_sequences
 
 
 class TestVerifyGraceful:
@@ -22,7 +27,7 @@ class TestVerifyGraceful:
 
     def test_example_passes(self):
         shape = build_shape((2, 3, 4))
-        report, _ = verify_with_weak_alpha(shape, label_all(shape))
+        report, _ = verify_with_weak_alpha(shape, label_blocks(shape))
         assert report.passed
         assert report.vertex_labels_distinct
         assert report.labels_in_range
@@ -31,15 +36,15 @@ class TestVerifyGraceful:
 
     def test_single_vertex_passes_vacuously(self):
         shape = build_shape(())
-        records = records_from_assignment(shape, {(): 0})
-        report, _ = verify_with_weak_alpha(shape, records)
+        blocks = blocks_from_assignment(shape, {(): 0})
+        report, _ = verify_with_weak_alpha(shape, blocks)
         assert report.passed
 
     def test_duplicate_vertex_label_reported(self):
         shape = build_shape((2,))
         corrupted = {(): 0, (0,): 2, (1,): 2}
-        records = records_from_assignment(shape, corrupted)
-        report, _ = verify_with_weak_alpha(shape, records)
+        blocks = blocks_from_assignment(shape, corrupted)
+        report, _ = verify_with_weak_alpha(shape, blocks)
         assert not report.passed
         assert not report.vertex_labels_distinct
         kinds = {(ce.kind, ce.value) for ce in report.counterexamples}
@@ -49,7 +54,7 @@ class TestVerifyGraceful:
     def test_out_of_range_label_reported(self):
         shape = build_shape((2,))
         report, _ = verify_with_weak_alpha(
-            shape, records_from_assignment(shape, {(): 0, (0,): 3, (1,): 1})
+            shape, blocks_from_assignment(shape, {(): 0, (0,): 3, (1,): 1})
         )
         assert not report.labels_in_range
         assert any(
@@ -59,20 +64,20 @@ class TestVerifyGraceful:
 
     def test_short_stream_rejected(self):
         shape = build_shape((2,))
-        records = list(label_all(shape))[:-1]
+        blocks = list(label_blocks(shape))[:-1]
         with pytest.raises(LabellingStreamError):
-            verify_with_weak_alpha(shape, records)
+            verify_with_weak_alpha(shape, blocks)
 
     def test_long_stream_rejected(self):
         shape = build_shape((2,))
-        records = list(label_all(shape))
+        blocks = list(label_blocks(shape))
         with pytest.raises(LabellingStreamError):
-            verify_with_weak_alpha(shape, records + records[-1:])
+            verify_with_weak_alpha(shape, blocks + blocks[-1:])
 
     def test_sweep_passes(self):
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
-            assert verify_with_weak_alpha(shape, label_all(shape))[0].passed, degrees
+            assert verify_with_weak_alpha(shape, label_blocks(shape))[0].passed, degrees
 
 
 class TestCheckWeaklyAlpha:
@@ -80,33 +85,33 @@ class TestCheckWeaklyAlpha:
 
     def test_example_claims_second_level_size(self):
         shape = build_shape((2, 3, 4))
-        _, report = verify_with_weak_alpha(shape, label_all(shape))
+        _, report = verify_with_weak_alpha(shape, label_blocks(shape))
         assert report.claimed_k == 16
         lo, hi = report.feasible_k_range
         assert lo <= 16 <= hi
 
     def test_small_binary_feasible(self):
         shape = build_shape((2, 2))
-        _, report = verify_with_weak_alpha(shape, label_all(shape))
+        _, report = verify_with_weak_alpha(shape, label_blocks(shape))
         assert report.feasible_k_range is not None
         assert report.claimed_k == shape.level_sizes[1]
 
     def test_single_vertex_reports_full_range(self):
         shape = build_shape(())
-        records = records_from_assignment(shape, {(): 0})
-        _, report = verify_with_weak_alpha(shape, records)
+        blocks = blocks_from_assignment(shape, {(): 0})
+        _, report = verify_with_weak_alpha(shape, blocks)
         assert report.feasible_k_range == (0, 0)
         assert report.claimed_k is None
         assert report.strict_alpha_feasible
 
     def test_wide_roots_report_without_claim(self):
         shape = build_shape((3, 2))
-        _, report = verify_with_weak_alpha(shape, label_all(shape))
+        _, report = verify_with_weak_alpha(shape, label_blocks(shape))
         assert report.claimed_k is None
 
     def test_non_graceful_input_rejected(self):
         shape = build_shape((2,))
-        out_of_range = records_from_assignment(shape, {(): 0, (0,): 3, (1,): 1})
+        out_of_range = blocks_from_assignment(shape, {(): 0, (0,): 3, (1,): 1})
         report, weak = verify_with_weak_alpha(shape, out_of_range)
         assert not report.labels_in_range
         assert weak is None
@@ -117,7 +122,7 @@ class TestCheckWeaklyAlpha:
             shape = build_shape(degrees)
             if not 1 <= shape.edge_count <= 50:
                 continue
-            _, report = verify_with_weak_alpha(shape, label_all(shape))
+            _, report = verify_with_weak_alpha(shape, label_blocks(shape))
             edges = [
                 (min(r.label, r.parent_label), max(r.label, r.parent_label))
                 for r in label_all(shape)
@@ -143,7 +148,7 @@ class TestCheckWeaklyAlpha:
     def test_two_vertex_path_strict(self):
         # One edge (0, 1): k = 0 separates strictly under the interval rule.
         shape = build_shape((1,))
-        _, report = verify_with_weak_alpha(shape, label_all(shape))
+        _, report = verify_with_weak_alpha(shape, label_blocks(shape))
         assert report.feasible_k_range == (0, 1)
         assert report.strict_alpha_feasible
 
@@ -151,17 +156,87 @@ class TestCheckWeaklyAlpha:
 class TestVerifyWithWeakAlpha:
     def test_single_pass_combination(self):
         shape = build_shape((2, 2, 2))
-        report, weak = verify_with_weak_alpha(shape, label_all(shape))
+        report, weak = verify_with_weak_alpha(shape, label_blocks(shape))
         assert report.passed
         assert weak is not None
         assert weak.claimed_k == shape.level_sizes[1]
 
     def test_weak_report_absent_on_failure(self):
         shape = build_shape((2,))
-        corrupted = records_from_assignment(shape, {(): 0, (0,): 2, (1,): 2})
+        corrupted = blocks_from_assignment(shape, {(): 0, (0,): 2, (1,): 2})
         report, weak = verify_with_weak_alpha(shape, corrupted)
         assert not report.passed
         assert weak is None
+
+
+def corrupt(assignment, vertex, kind, edge_count, rng):
+    """A copy of the mapping with one fault of the given kind at vertex."""
+    corrupted = dict(assignment)
+    others = [v for v in assignment if v != vertex]
+    if kind == "duplicate":
+        corrupted[vertex] = assignment[rng.choice(others)]
+    elif kind == "out of range":
+        corrupted[vertex] = edge_count + 1 + rng.randrange(3)
+    elif kind == "negative":
+        corrupted[vertex] = -1 - rng.randrange(3)
+    else:  # swapped
+        other = rng.choice(others)
+        corrupted[vertex], corrupted[other] = assignment[other], assignment[vertex]
+    return corrupted
+
+
+CORRUPTIONS = ("duplicate", "out of range", "negative", "swapped")
+
+
+class TestAgainstReferenceChecker:
+    """The block verifier returns exactly what a plain per-record check does."""
+
+    def test_closed_form_sweep(self):
+        for degrees in sweep_degree_sequences():
+            shape = build_shape(degrees)
+            assignment = {r.vertex: r.label for r in label_all(shape)}
+            assert verify_with_weak_alpha(shape, label_blocks(shape)) == (
+                reference_reports(degrees, assignment)
+            ), degrees
+
+    def test_seeded_corruptions_over_sweep(self):
+        rng = random.Random(2021)
+        for degrees in sweep_degree_sequences():
+            shape = build_shape(degrees)
+            assignment = {r.vertex: r.label for r in label_all(shape)}
+            for kind in CORRUPTIONS:
+                if kind in ("duplicate", "swapped") and len(assignment) < 2:
+                    continue
+                vertex = rng.choice(list(assignment))
+                corrupted = corrupt(assignment, vertex, kind, shape.edge_count, rng)
+                blocks = blocks_from_assignment(shape, corrupted)
+                assert verify_with_weak_alpha(shape, blocks) == (
+                    reference_reports(degrees, corrupted)
+                ), (degrees, kind, vertex)
+
+    def test_corruption_on_every_level_of_a_deep_tree(self):
+        # Shallow levels of (2,)*12 are too sparse for a block mask and go
+        # record by record; deep levels are marked a block at a time.
+        degrees = (2,) * 12
+        shape = build_shape(degrees)
+        spans = [
+            (max(b.labels) - min(b.labels) + 1, len(b.labels))
+            for b in label_blocks(shape)
+            if b.parent_labels is not None
+        ]
+        sparse = [s > MASK_BITS_PER_VALUE * n + MASK_SLACK_BITS for s, n in spans]
+        assert any(sparse) and not all(sparse)
+        assignment = {r.vertex: r.label for r in label_all(shape)}
+        rng = random.Random(12)
+        for width in range(1, len(degrees) + 1):
+            level = list(product(range(2), repeat=width))
+            for kind in CORRUPTIONS:
+                vertex = rng.choice(level)
+                corrupted = corrupt(assignment, vertex, kind, shape.edge_count, rng)
+                blocks = blocks_from_assignment(shape, corrupted)
+                assert verify_with_weak_alpha(shape, blocks) == (
+                    reference_reports(degrees, corrupted)
+                ), (kind, vertex)
 
 
 class TestBruteForce:
@@ -169,13 +244,32 @@ class TestBruteForce:
         shape = build_shape((2,))
         found = brute_force_graceful(shape)
         assert found is not None
-        report, _ = verify_with_weak_alpha(shape, records_from_assignment(shape, found))
+        report, _ = verify_with_weak_alpha(shape, blocks_from_assignment(shape, found))
         assert report.passed
 
     def test_three_vertex_path_first_assignment(self):
         shape = build_shape((1, 1))
         found = brute_force_graceful(shape)
         assert [found[v] for v in enumerate_vertices(shape)] == [0, 2, 1]
+
+    def test_first_hit_is_lexicographically_smallest(self):
+        # Independent route: scan every label vector in lexicographic order.
+        for degrees in degree_sequences_up_to(6):
+            shape = build_shape(degrees)
+            order = list(enumerate_vertices(shape))
+            n = len(order)
+            first = next(
+                labels
+                for labels in product(range(n), repeat=n)
+                if reference_reports(degrees, dict(zip(order, labels)))[0].passed
+            )
+            found = brute_force_graceful(shape, cap=6)
+            assert [found[v] for v in order] == list(first), degrees
+
+    def test_star_deeper_than_the_recursion_limit(self):
+        shape = build_shape((1100,))
+        found = brute_force_graceful(shape, cap=2000)
+        assert [found[v] for v in enumerate_vertices(shape)] == list(range(1101))
 
     def test_cap_enforced(self):
         with pytest.raises(SearchCapError):
@@ -191,16 +285,16 @@ class TestBruteForce:
             shape = build_shape(degrees)
             found = brute_force_graceful(shape, cap=7)
             assert found is not None, degrees
-            records = records_from_assignment(shape, found)
-            assert verify_with_weak_alpha(shape, records)[0].passed, degrees
+            blocks = blocks_from_assignment(shape, found)
+            assert verify_with_weak_alpha(shape, blocks)[0].passed, degrees
 
     def test_search_output_gets_separator_report(self):
         # h_2 need not be a feasible separator outside the closed form.
         for degrees, feasible in [((2, 1, 2), (2, 3)), ((2, 2, 1), None)]:
             shape = build_shape(degrees)
             found = brute_force_graceful(shape)
-            records = records_from_assignment(shape, found)
-            report, weak = verify_with_weak_alpha(shape, records)
+            blocks = blocks_from_assignment(shape, found)
+            report, weak = verify_with_weak_alpha(shape, blocks)
             assert report.passed, degrees
             assert weak.feasible_k_range == feasible, degrees
             assert weak.claimed_k == shape.level_sizes[1], degrees
@@ -224,7 +318,7 @@ class TestCanonicalPathLabelling:
             labels = canonical_path_labelling(n)
             assignment = {(0,) * depth: labels[depth] for depth in range(n)}
             report, _ = verify_with_weak_alpha(
-                shape, records_from_assignment(shape, assignment)
+                shape, blocks_from_assignment(shape, assignment)
             )
             assert report.passed, n
 
