@@ -20,12 +20,12 @@ from .labelling import (
     BLOCK,
     Block,
     LabelledVertex,
-    blocks_from_assignment,
     edge_label,
     enumerate_vertices,
     label_all,
     label_blocks,
     label_vertex,
+    records_from_assignment,
 )
 from .shape import (
     TreeShape,
@@ -65,7 +65,6 @@ __all__ = [
     "VertexId",
     "WeaklyAlphaReport",
     "auxiliary_bitmap_bytes",
-    "blocks_from_assignment",
     "brute_force_graceful",
     "build_shape",
     "canonical_path_labelling",
@@ -77,6 +76,7 @@ __all__ = [
     "label_blocks",
     "label_vertex",
     "parse_degree_sequence",
+    "records_from_assignment",
     "trace_inversion",
     "validate_vertex",
     "verify_with_weak_alpha",

@@ -1,7 +1,6 @@
 """Command-line interface: label, invert, verify, oracle-compare, bench.
 
-``label`` only exports records; ``verify`` streams the labelling's blocks
-into the verifier.
+``label`` only exports records; ``verify`` streams them into the verifier.
 
 Exit status contract, stable for scripting: 0 success/pass, 1 verification
 failure, 2 usage or input error, 3 capacity overflow (including a shape
@@ -29,7 +28,7 @@ from .errors import (
     SearchCapError,
 )
 from .inverse import DecodeState, invert_label, trace_inversion
-from .labelling import blocks_from_assignment, label_all, label_blocks
+from .labelling import label_all, records_from_assignment
 from .shape import TreeShape, build_shape, format_vertex, parse_degree_sequence
 from .verification import (
     auxiliary_bitmap_bytes,
@@ -193,7 +192,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     shape = _shape_from(args)
-    report, weak = verify_with_weak_alpha(shape, label_blocks(shape))
+    report, weak = verify_with_weak_alpha(shape, label_all(shape))
     print(f"degree sequence: {format_vertex(shape.degrees)}")
     print(f"level sizes:     {format_vertex(shape.level_sizes)}")
     print(f"vertices: {shape.vertex_count}  edges: {shape.edge_count}")
@@ -242,7 +241,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
             print(f"path oracle: MISMATCH (closed form {closed}, zig-zag {zigzag})")
     if n <= args.cap:
         ran_any = True
-        report = verify_with_weak_alpha(shape, label_blocks(shape))[0]
+        report = verify_with_weak_alpha(shape, label_all(shape))[0]
         print(f"closed form: {'graceful' if report.passed else 'NOT graceful'}")
         if not report.passed:
             failures += 1
@@ -253,7 +252,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
             print("search oracle: exhausted without a graceful labelling")
         else:
             found_report = verify_with_weak_alpha(
-                shape, blocks_from_assignment(shape, found)
+                shape, records_from_assignment(shape, found)
             )[0]
             if not found_report.passed:
                 failures += 1
@@ -282,7 +281,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     times = []
     for _ in range(args.reps):
         start = time.perf_counter()
-        report = verify_with_weak_alpha(shape, label_blocks(shape))[0]
+        report = verify_with_weak_alpha(shape, label_all(shape))[0]
         times.append(time.perf_counter() - start)
         if not report.passed:
             print("verification FAILED during bench", file=sys.stderr)

@@ -20,7 +20,7 @@ offset table shifted by a per-block base.  ``label_blocks`` is the core;
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product, repeat
 from operator import mul
 from typing import Iterator, Mapping, NamedTuple
 
@@ -172,11 +172,21 @@ def label_all(shape: TreeShape) -> Iterator[LabelledVertex]:
     """Stream one record per vertex in canonical breadth-first order.
 
     The root record carries no parent label.  Records are the expansion
-    of ``label_blocks``, so memory never depends on the vertex count.
+    of ``label_blocks``, built by C-level maps with no Python frame per
+    record, so memory never depends on the vertex count.
     """
-    for block in label_blocks(shape):
-        parents = block.parent_labels or (None,)
-        yield from map(LabelledVertex, block.vertices(), block.labels, parents)
+    return chain.from_iterable(map(_block_records, label_blocks(shape)))
+
+
+def _block_records(block: Block) -> Iterator[LabelledVertex]:
+    # tuple.__new__ builds each record without the Python-level __new__
+    # of a NamedTuple.
+    parents = block.parent_labels or (None,)
+    return map(
+        tuple.__new__,
+        repeat(LabelledVertex),
+        zip(block.vertices(), block.labels, parents),
+    )
 
 
 def enumerate_vertices(shape: TreeShape) -> Iterator[VertexId]:
@@ -189,13 +199,12 @@ def enumerate_vertices(shape: TreeShape) -> Iterator[VertexId]:
         yield from block.vertices()
 
 
-def blocks_from_assignment(
+def records_from_assignment(
     shape: TreeShape, assignment: Mapping[VertexId, int]
-) -> Iterator[Block]:
-    """Stream an explicit vertex -> label mapping as blocks in canonical order.
+) -> Iterator[LabelledVertex]:
+    """Stream records for an explicit vertex -> label mapping in canonical order.
 
-    The blocks partition the tree exactly as ``label_blocks`` does.  The
-    mapping must cover every vertex exactly once; otherwise
+    The mapping must cover every vertex exactly once; otherwise
     LabellingStreamError is raised.
     """
     if len(assignment) != shape.vertex_count:
@@ -203,12 +212,12 @@ def blocks_from_assignment(
             f"assignment covers {len(assignment)} vertices, "
             f"expected {shape.vertex_count}"
         )
-    for block in label_blocks(shape):
+    for vertex in enumerate_vertices(shape):
         try:
-            labels = [assignment[vertex] for vertex in block.vertices()]
-        except KeyError as exc:
-            raise LabellingStreamError(f"assignment missing vertex {exc.args[0]}") from None
-        parents = None
-        if block.parent_labels is not None:
-            parents = [assignment[vertex[:-1]] for vertex in block.vertices()]
-        yield block._replace(labels=labels, parent_labels=parents)
+            label = assignment[vertex]
+        except KeyError:
+            raise LabellingStreamError(
+                f"assignment missing vertex {vertex}"
+            ) from None
+        parent_label = assignment[vertex[:-1]] if vertex else None
+        yield LabelledVertex(vertex, label, parent_label)

@@ -1,10 +1,10 @@
 """Independent checks and oracles for graceful labellings.
 
 Nothing here trusts the closed form or the stream: one pass of
-``verify_with_weak_alpha`` over a block stream checks gracefulness against
+``verify_with_weak_alpha`` over a record stream checks gracefulness against
 two presence bitmaps, recomputing every edge label from its end labels,
-and takes the weak separator interval from per-edge extremes.  Whole
-blocks are marked through integer masks; a block that could hold a fault
+and takes the weak separator interval from per-edge extremes.  Chunks of
+records are marked through integer masks; a chunk that could hold a fault
 is checked record by record, so every label is still tested against the
 bitmaps.  Paths have their own zig-zag oracle, and
 small shapes can be searched exhaustively.
@@ -13,21 +13,27 @@ small shapes can be searched exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, sub
-from typing import Iterable, NamedTuple
+from itertools import accumulate, islice
+from operator import add, itemgetter, mul, sub
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import LabellingStreamError, SearchCapError
-from .labelling import Block, enumerate_vertices
+from .labelling import LabelledVertex, enumerate_vertices
 from .shape import TreeShape, VertexId
 
-# A block is marked through one scratch mask only when its values span at
+# Most records checked through one mask.  A chunk of 256 records with
+# 20-digit vertex ids (about 70 KB) stays in cache; 1024 ran about 25%
+# slower on the 2,097,151-vertex binary tree.
+CHUNK = 256
+# A chunk is marked through one scratch mask only when its values span at
 # most MASK_BITS_PER_VALUE bits per value plus MASK_SLACK_BITS, which caps
-# the mask's digit buffer near 66 KB at BLOCK = 1024.  Sparser blocks (the
+# the mask's digit buffer near 16 KB at CHUNK = 256.  Sparser chunks (the
 # shallow levels of deep trees) are checked record by record.
 MASK_BITS_PER_VALUE = 64
 MASK_SLACK_BITS = 64
 ONE_DIGIT = ord("1")
+LABEL = itemgetter(1)
+PARENT_LABEL = itemgetter(2)
 
 
 class Counterexample(NamedTuple):
@@ -79,10 +85,10 @@ def auxiliary_bitmap_bytes(shape: TreeShape) -> int:
     return (e + 8) // 8 + (e + 7) // 8
 
 
-def _block_marks(
+def _chunk_marks(
     bitmap: bytearray, values: list[int], first: int, last: int
 ) -> tuple[int, int, int] | None:
-    """The bitmap bytes one block's values would set, or None to check per record.
+    """The bitmap bytes one chunk's values would set, or None to check per record.
 
     ``values`` map to bits ``value - first`` and must lie in [first, last].
     Returns ``(start, stop, window)``: ``window`` is ``bitmap[start:stop]``
@@ -113,26 +119,48 @@ def _block_marks(
     return start, stop, window | mask
 
 
+def _level_chunks(
+    shape: TreeShape, records: Iterable[LabelledVertex]
+) -> Iterator[list[LabelledVertex]]:
+    """The stream cut into lists of at most CHUNK records, one level each.
+
+    Cuts follow the shape's level widths, so the root is a chunk of its
+    own; a stream that runs past the last level goes on in CHUNK-record
+    lists, so the caller sees every record it was given.
+    """
+    stream = iter(records)
+    for width in accumulate(shape.degrees, mul, initial=1):
+        for start in range(0, width, CHUNK):
+            chunk = list(islice(stream, min(CHUNK, width - start)))
+            if not chunk:
+                return
+            yield chunk
+    while chunk := list(islice(stream, CHUNK)):
+        yield chunk
+
+
 def verify_with_weak_alpha(
-    shape: TreeShape, blocks: Iterable[Block]
+    shape: TreeShape, records: Iterable[LabelledVertex]
 ) -> tuple[VerificationReport, WeaklyAlphaReport | None]:
     """Check a full labelling stream for gracefulness and separators in one pass.
 
     Vertex labels must be pairwise distinct within [0, |E|] and the
     induced edge labels pairwise distinct within [1, |E|]; together that
-    forces the edge labels to be exactly {1, ..., |E|}.  The blocks must
+    forces the edge labels to be exactly {1, ..., |E|}.  The stream must
     cover every vertex exactly once, else LabellingStreamError.
 
-    Each block's labels and induced edge labels are marked in the two
-    presence bitmaps through one integer mask each.
-    A block that is out of range, repeats a label, overlaps labels already
-    marked, or is too sparse for a bounded mask is checked record by record
-    instead, which names every counterexample in stream order.
+    Records are checked a chunk at a time: up to CHUNK records of one
+    level, whose labels and induced edge labels are marked in the two
+    presence bitmaps through one integer mask each.  A chunk that is out
+    of range, repeats a label, overlaps labels already marked, has a
+    record without a parent label, or is too sparse for a bounded mask is
+    checked record by record instead, which names every counterexample
+    in stream order.
 
     The weak-separator report is None when verification fails; its
     feasible interval is the intersection of the per-edge [min, max]
     intervals.  Memory is two bitmaps (vertex labels 0..|E|, edge labels
-    1..|E|) plus per-block scratch bounded by BLOCK and the mask
+    1..|E|) plus per-chunk scratch bounded by CHUNK and the mask
     constants, so multi-million-vertex streams are fine.
     """
     expected = shape.vertex_count
@@ -145,16 +173,16 @@ def verify_with_weak_alpha(
     edges_seen = 0
     lo = 0  # max over edges of min(end labels)
     hi: int | None = None  # min over edges of max(end labels)
-    for block in blocks:
-        labels = block.labels
-        parent_labels = block.parent_labels
-        count += len(labels)
+    for chunk in _level_chunks(shape, records):
+        count += len(chunk)
         if count > expected:
             raise LabellingStreamError(f"stream longer than {expected} vertices")
-        if parent_labels is not None:
+        labels = list(map(LABEL, chunk))
+        parent_labels = list(map(PARENT_LABEL, chunk))
+        if None not in parent_labels:
             edge_labels = list(map(abs, map(sub, labels, parent_labels)))
-            vertex_marks = _block_marks(vertex_bits, labels, 0, edge_count)
-            edge_marks = vertex_marks and _block_marks(
+            vertex_marks = _chunk_marks(vertex_bits, labels, 0, edge_count)
+            edge_marks = vertex_marks and _chunk_marks(
                 edge_bits, edge_labels, 1, edge_count
             )
             if edge_marks:
@@ -173,9 +201,7 @@ def verify_with_weak_alpha(
                 if hi is None or large < hi:
                     hi = large
                 continue
-        for vertex, label, parent_label in zip(
-            block.vertices(), labels, parent_labels or repeat(None)
-        ):
+        for vertex, label, parent_label in chunk:
             if 0 <= label <= edge_count:
                 byte, bit = divmod(label, 8)
                 mask = 1 << bit

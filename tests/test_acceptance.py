@@ -7,13 +7,12 @@ lines and timings.
 import time
 
 from gracetree import (
-    blocks_from_assignment,
     build_shape,
     canonical_path_labelling,
     invert_label,
     label_all,
-    label_blocks,
     label_vertex,
+    records_from_assignment,
     verify_with_weak_alpha,
 )
 from gracetree.cli import main
@@ -89,7 +88,7 @@ def test_criterion_4_gracefulness_sweep():
     start = time.perf_counter()
     shapes = [build_shape(d) for d in sweep_degree_sequences()]
     for shape in shapes:
-        assert verify_with_weak_alpha(shape, label_blocks(shape))[0].passed, shape.degrees
+        assert verify_with_weak_alpha(shape, label_all(shape))[0].passed, shape.degrees
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(4, f"verifier passes every one of the {len(shapes)} sweep shapes", elapsed)
@@ -102,14 +101,14 @@ def test_criterion_5_weak_separator_claim():
         if not degrees or degrees[0] != 2:
             continue
         shape = build_shape(degrees)
-        _, weak = verify_with_weak_alpha(shape, label_blocks(shape))
+        _, weak = verify_with_weak_alpha(shape, label_all(shape))
         lo, hi = weak.feasible_k_range
         assert lo <= shape.level_sizes[1] <= hi, degrees
         assert weak.claimed_k == shape.level_sizes[1]
         checked += 1
     for levels in range(2, 9):  # binary trees (2, 2, ...) up to 8 levels
         shape = build_shape((2,) * (levels - 1))
-        _, weak = verify_with_weak_alpha(shape, label_blocks(shape))
+        _, weak = verify_with_weak_alpha(shape, label_all(shape))
         lo, hi = weak.feasible_k_range
         assert lo <= shape.level_sizes[1] <= hi, levels
         checked += 1
@@ -163,8 +162,8 @@ def test_criterion_8_search_oracle_soundness():
     for shape in shapes:
         found = brute_force_graceful(shape, cap=10)
         assert found is not None, shape.degrees
-        blocks = blocks_from_assignment(shape, found)
-        assert verify_with_weak_alpha(shape, blocks)[0].passed, shape.degrees
+        records = records_from_assignment(shape, found)
+        assert verify_with_weak_alpha(shape, records)[0].passed, shape.degrees
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(8, f"search oracle sound on all {len(shapes)} shapes with <= 10 vertices", elapsed)

@@ -12,10 +12,10 @@ import pytest
 
 import gracetree
 from gracetree import (
-    blocks_from_assignment,
     brute_force_graceful,
     build_shape,
     enumerate_vertices,
+    records_from_assignment,
 )
 from gracetree import cli
 from gracetree.cli import main
@@ -166,7 +166,7 @@ class TestVerifyCommand:
         # closed form never yields one, so verify treats it as a bug.
         found = brute_force_graceful(build_shape((2, 1, 2)))
         monkeypatch.setattr(
-            cli, "label_blocks", lambda shape: blocks_from_assignment(shape, found)
+            cli, "label_all", lambda shape: records_from_assignment(shape, found)
         )
         code, out, err = run(capsys, "verify", "2,1,2")
         assert code == 5
@@ -176,8 +176,8 @@ class TestVerifyCommand:
     def test_failure_lists_counterexamples(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli,
-            "label_blocks",
-            lambda shape: blocks_from_assignment(
+            "label_all",
+            lambda shape: records_from_assignment(
                 shape, {v: 0 for v in enumerate_vertices(shape)}
             ),
         )

@@ -7,14 +7,15 @@ import pytest
 from gracetree import (
     BLOCK,
     InvalidVertexError,
+    LabelledVertex,
     LabellingStreamError,
-    blocks_from_assignment,
     build_shape,
     edge_label,
     enumerate_vertices,
     label_all,
     label_blocks,
     label_vertex,
+    records_from_assignment,
 )
 from helpers import (
     EXAMPLE_DEGREES,
@@ -162,34 +163,38 @@ class TestLabelBlocks:
                         label_vertex(shape, v[:-1]) for v in vertices
                     ]
 
-    def test_assignment_blocks_equal_closed_form_blocks(self):
+    def test_records_expand_blocks(self):
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
-            assignment = {r.vertex: r.label for r in label_all(shape)}
-            assert list(blocks_from_assignment(shape, assignment)) == list(
-                label_blocks(shape)
-            ), degrees
+            expanded = [
+                (vertex, label, parent)
+                for block in label_blocks(shape)
+                for vertex, label, parent in zip(
+                    block.vertices(), block.labels, block.parent_labels or [None]
+                )
+            ]
+            records = list(label_all(shape))
+            assert records == expanded, degrees
+            assert all(type(r) is LabelledVertex for r in records), degrees
 
 
 class TestRecordsFromAssignment:
-    """blocks_from_assignment, which replaced records_from_assignment."""
-
     def test_roundtrip_with_closed_form(self):
         shape = build_shape((2, 2))
         assignment = {r.vertex: r.label for r in label_all(shape)}
-        assert list(blocks_from_assignment(shape, assignment)) == list(label_blocks(shape))
+        assert list(records_from_assignment(shape, assignment)) == list(label_all(shape))
 
     def test_missing_vertex(self):
         shape = build_shape((2,))
         with pytest.raises(LabellingStreamError):
-            list(blocks_from_assignment(shape, {(): 0, (0,): 1}))
+            list(records_from_assignment(shape, {(): 0, (0,): 1}))
 
     def test_wrong_size_assignment_rejected(self):
         shape = build_shape((1, 1))
         with pytest.raises(LabellingStreamError):
-            list(blocks_from_assignment(shape, {(): 0}))
+            list(records_from_assignment(shape, {(): 0}))
 
     def test_wrong_vertices_rejected(self):
         shape = build_shape((1, 1))
         with pytest.raises(LabellingStreamError):
-            list(blocks_from_assignment(shape, {(): 0, (0,): 2, (9, 9): 1}))
+            list(records_from_assignment(shape, {(): 0, (0,): 2, (9, 9): 1}))

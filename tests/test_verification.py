@@ -9,16 +9,15 @@ from gracetree import (
     LabellingStreamError,
     SearchCapError,
     auxiliary_bitmap_bytes,
-    blocks_from_assignment,
     brute_force_graceful,
     build_shape,
     canonical_path_labelling,
     enumerate_vertices,
     label_all,
-    label_blocks,
+    records_from_assignment,
     verify_with_weak_alpha,
 )
-from gracetree.verification import MASK_BITS_PER_VALUE, MASK_SLACK_BITS
+from gracetree.verification import CHUNK, MASK_BITS_PER_VALUE, MASK_SLACK_BITS
 from helpers import degree_sequences_up_to, reference_reports, sweep_degree_sequences
 
 
@@ -27,7 +26,7 @@ class TestVerifyGraceful:
 
     def test_example_passes(self):
         shape = build_shape((2, 3, 4))
-        report, _ = verify_with_weak_alpha(shape, label_blocks(shape))
+        report, _ = verify_with_weak_alpha(shape, label_all(shape))
         assert report.passed
         assert report.vertex_labels_distinct
         assert report.labels_in_range
@@ -36,15 +35,15 @@ class TestVerifyGraceful:
 
     def test_single_vertex_passes_vacuously(self):
         shape = build_shape(())
-        blocks = blocks_from_assignment(shape, {(): 0})
-        report, _ = verify_with_weak_alpha(shape, blocks)
+        records = records_from_assignment(shape, {(): 0})
+        report, _ = verify_with_weak_alpha(shape, records)
         assert report.passed
 
     def test_duplicate_vertex_label_reported(self):
         shape = build_shape((2,))
         corrupted = {(): 0, (0,): 2, (1,): 2}
-        blocks = blocks_from_assignment(shape, corrupted)
-        report, _ = verify_with_weak_alpha(shape, blocks)
+        records = records_from_assignment(shape, corrupted)
+        report, _ = verify_with_weak_alpha(shape, records)
         assert not report.passed
         assert not report.vertex_labels_distinct
         kinds = {(ce.kind, ce.value) for ce in report.counterexamples}
@@ -54,7 +53,7 @@ class TestVerifyGraceful:
     def test_out_of_range_label_reported(self):
         shape = build_shape((2,))
         report, _ = verify_with_weak_alpha(
-            shape, blocks_from_assignment(shape, {(): 0, (0,): 3, (1,): 1})
+            shape, records_from_assignment(shape, {(): 0, (0,): 3, (1,): 1})
         )
         assert not report.labels_in_range
         assert any(
@@ -64,20 +63,20 @@ class TestVerifyGraceful:
 
     def test_short_stream_rejected(self):
         shape = build_shape((2,))
-        blocks = list(label_blocks(shape))[:-1]
+        records = list(label_all(shape))[:-1]
         with pytest.raises(LabellingStreamError):
-            verify_with_weak_alpha(shape, blocks)
+            verify_with_weak_alpha(shape, records)
 
     def test_long_stream_rejected(self):
         shape = build_shape((2,))
-        blocks = list(label_blocks(shape))
+        records = list(label_all(shape))
         with pytest.raises(LabellingStreamError):
-            verify_with_weak_alpha(shape, blocks + blocks[-1:])
+            verify_with_weak_alpha(shape, records + records[-1:])
 
     def test_sweep_passes(self):
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
-            assert verify_with_weak_alpha(shape, label_blocks(shape))[0].passed, degrees
+            assert verify_with_weak_alpha(shape, label_all(shape))[0].passed, degrees
 
 
 class TestCheckWeaklyAlpha:
@@ -85,33 +84,33 @@ class TestCheckWeaklyAlpha:
 
     def test_example_claims_second_level_size(self):
         shape = build_shape((2, 3, 4))
-        _, report = verify_with_weak_alpha(shape, label_blocks(shape))
+        _, report = verify_with_weak_alpha(shape, label_all(shape))
         assert report.claimed_k == 16
         lo, hi = report.feasible_k_range
         assert lo <= 16 <= hi
 
     def test_small_binary_feasible(self):
         shape = build_shape((2, 2))
-        _, report = verify_with_weak_alpha(shape, label_blocks(shape))
+        _, report = verify_with_weak_alpha(shape, label_all(shape))
         assert report.feasible_k_range is not None
         assert report.claimed_k == shape.level_sizes[1]
 
     def test_single_vertex_reports_full_range(self):
         shape = build_shape(())
-        blocks = blocks_from_assignment(shape, {(): 0})
-        _, report = verify_with_weak_alpha(shape, blocks)
+        records = records_from_assignment(shape, {(): 0})
+        _, report = verify_with_weak_alpha(shape, records)
         assert report.feasible_k_range == (0, 0)
         assert report.claimed_k is None
         assert report.strict_alpha_feasible
 
     def test_wide_roots_report_without_claim(self):
         shape = build_shape((3, 2))
-        _, report = verify_with_weak_alpha(shape, label_blocks(shape))
+        _, report = verify_with_weak_alpha(shape, label_all(shape))
         assert report.claimed_k is None
 
     def test_non_graceful_input_rejected(self):
         shape = build_shape((2,))
-        out_of_range = blocks_from_assignment(shape, {(): 0, (0,): 3, (1,): 1})
+        out_of_range = records_from_assignment(shape, {(): 0, (0,): 3, (1,): 1})
         report, weak = verify_with_weak_alpha(shape, out_of_range)
         assert not report.labels_in_range
         assert weak is None
@@ -122,7 +121,7 @@ class TestCheckWeaklyAlpha:
             shape = build_shape(degrees)
             if not 1 <= shape.edge_count <= 50:
                 continue
-            _, report = verify_with_weak_alpha(shape, label_blocks(shape))
+            _, report = verify_with_weak_alpha(shape, label_all(shape))
             edges = [
                 (min(r.label, r.parent_label), max(r.label, r.parent_label))
                 for r in label_all(shape)
@@ -148,7 +147,7 @@ class TestCheckWeaklyAlpha:
     def test_two_vertex_path_strict(self):
         # One edge (0, 1): k = 0 separates strictly under the interval rule.
         shape = build_shape((1,))
-        _, report = verify_with_weak_alpha(shape, label_blocks(shape))
+        _, report = verify_with_weak_alpha(shape, label_all(shape))
         assert report.feasible_k_range == (0, 1)
         assert report.strict_alpha_feasible
 
@@ -156,14 +155,14 @@ class TestCheckWeaklyAlpha:
 class TestVerifyWithWeakAlpha:
     def test_single_pass_combination(self):
         shape = build_shape((2, 2, 2))
-        report, weak = verify_with_weak_alpha(shape, label_blocks(shape))
+        report, weak = verify_with_weak_alpha(shape, label_all(shape))
         assert report.passed
         assert weak is not None
         assert weak.claimed_k == shape.level_sizes[1]
 
     def test_weak_report_absent_on_failure(self):
         shape = build_shape((2,))
-        corrupted = blocks_from_assignment(shape, {(): 0, (0,): 2, (1,): 2})
+        corrupted = records_from_assignment(shape, {(): 0, (0,): 2, (1,): 2})
         report, weak = verify_with_weak_alpha(shape, corrupted)
         assert not report.passed
         assert weak is None
@@ -189,13 +188,13 @@ CORRUPTIONS = ("duplicate", "out of range", "negative", "swapped")
 
 
 class TestAgainstReferenceChecker:
-    """The block verifier returns exactly what a plain per-record check does."""
+    """The chunked verifier returns exactly what a plain per-record check does."""
 
     def test_closed_form_sweep(self):
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
             assignment = {r.vertex: r.label for r in label_all(shape)}
-            assert verify_with_weak_alpha(shape, label_blocks(shape)) == (
+            assert verify_with_weak_alpha(shape, label_all(shape)) == (
                 reference_reports(degrees, assignment)
             ), degrees
 
@@ -209,32 +208,33 @@ class TestAgainstReferenceChecker:
                     continue
                 vertex = rng.choice(list(assignment))
                 corrupted = corrupt(assignment, vertex, kind, shape.edge_count, rng)
-                blocks = blocks_from_assignment(shape, corrupted)
-                assert verify_with_weak_alpha(shape, blocks) == (
+                records = records_from_assignment(shape, corrupted)
+                assert verify_with_weak_alpha(shape, records) == (
                     reference_reports(degrees, corrupted)
                 ), (degrees, kind, vertex)
 
     def test_corruption_on_every_level_of_a_deep_tree(self):
-        # Shallow levels of (2,)*12 are too sparse for a block mask and go
-        # record by record; deep levels are marked a block at a time.
+        # Shallow levels of (2,)*12 are too sparse for a chunk mask and go
+        # record by record; deep levels are marked a chunk at a time.
         degrees = (2,) * 12
         shape = build_shape(degrees)
-        spans = [
-            (max(b.labels) - min(b.labels) + 1, len(b.labels))
-            for b in label_blocks(shape)
-            if b.parent_labels is not None
-        ]
-        sparse = [s > MASK_BITS_PER_VALUE * n + MASK_SLACK_BITS for s, n in spans]
-        assert any(sparse) and not all(sparse)
         assignment = {r.vertex: r.label for r in label_all(shape)}
+        sparse = []
+        for width in range(1, len(degrees) + 1):
+            level = [assignment[v] for v in product(range(2), repeat=width)]
+            for start in range(0, len(level), CHUNK):
+                labels = level[start:start + CHUNK]
+                span = max(labels) - min(labels) + 1
+                sparse.append(span > MASK_BITS_PER_VALUE * len(labels) + MASK_SLACK_BITS)
+        assert any(sparse) and not all(sparse)
         rng = random.Random(12)
         for width in range(1, len(degrees) + 1):
             level = list(product(range(2), repeat=width))
             for kind in CORRUPTIONS:
                 vertex = rng.choice(level)
                 corrupted = corrupt(assignment, vertex, kind, shape.edge_count, rng)
-                blocks = blocks_from_assignment(shape, corrupted)
-                assert verify_with_weak_alpha(shape, blocks) == (
+                records = records_from_assignment(shape, corrupted)
+                assert verify_with_weak_alpha(shape, records) == (
                     reference_reports(degrees, corrupted)
                 ), (kind, vertex)
 
@@ -244,7 +244,7 @@ class TestBruteForce:
         shape = build_shape((2,))
         found = brute_force_graceful(shape)
         assert found is not None
-        report, _ = verify_with_weak_alpha(shape, blocks_from_assignment(shape, found))
+        report, _ = verify_with_weak_alpha(shape, records_from_assignment(shape, found))
         assert report.passed
 
     def test_three_vertex_path_first_assignment(self):
@@ -285,16 +285,16 @@ class TestBruteForce:
             shape = build_shape(degrees)
             found = brute_force_graceful(shape, cap=7)
             assert found is not None, degrees
-            blocks = blocks_from_assignment(shape, found)
-            assert verify_with_weak_alpha(shape, blocks)[0].passed, degrees
+            records = records_from_assignment(shape, found)
+            assert verify_with_weak_alpha(shape, records)[0].passed, degrees
 
     def test_search_output_gets_separator_report(self):
         # h_2 need not be a feasible separator outside the closed form.
         for degrees, feasible in [((2, 1, 2), (2, 3)), ((2, 2, 1), None)]:
             shape = build_shape(degrees)
             found = brute_force_graceful(shape)
-            blocks = blocks_from_assignment(shape, found)
-            report, weak = verify_with_weak_alpha(shape, blocks)
+            records = records_from_assignment(shape, found)
+            report, weak = verify_with_weak_alpha(shape, records)
             assert report.passed, degrees
             assert weak.feasible_k_range == feasible, degrees
             assert weak.claimed_k == shape.level_sizes[1], degrees
@@ -318,7 +318,7 @@ class TestCanonicalPathLabelling:
             labels = canonical_path_labelling(n)
             assignment = {(0,) * depth: labels[depth] for depth in range(n)}
             report, _ = verify_with_weak_alpha(
-                shape, blocks_from_assignment(shape, assignment)
+                shape, records_from_assignment(shape, assignment)
             )
             assert report.passed, n
 
