@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from itertools import chain, repeat
 
 from .errors import (
     CapacityError,
@@ -48,16 +49,7 @@ PATH_ORACLE_MAX_VERTICES = 64
 
 
 def _shape_from(args: argparse.Namespace) -> TreeShape:
-    if args.degrees is not None and args.degrees_flag is not None:
-        raise DegreeSequenceError(
-            "degree sequence given both positionally and with --degrees"
-        )
-    text = args.degrees if args.degrees is not None else args.degrees_flag
-    if text is None:
-        raise DegreeSequenceError(
-            "no degree sequence given (pass it positionally or with --degrees)"
-        )
-    return build_shape(parse_degree_sequence(text))
+    return build_shape(parse_degree_sequence(args.degrees))
 
 
 @contextmanager
@@ -122,22 +114,17 @@ def _write_json(shape: TreeShape, out) -> None:
             shape.edge_count,
         )
     )
-    first = True
-    for vertex, label, parent_label in label_all(shape):
-        out.write("\n" if first else ",\n")
-        first = False
+    for sep, (vertex, label, parent_label) in zip(
+        chain(("\n",), repeat(",\n")), label_all(shape)
+    ):
+        if parent_label is None:
+            parent = edge = "null"
+        else:
+            parent, edge = parent_label, abs(label - parent_label)
+        # Vertex text is digits, commas and parentheses: nothing to escape.
         out.write(
-            json.dumps(
-                {
-                    "vertex": format_vertex(vertex),
-                    "level": len(vertex) + 1,
-                    "label": label,
-                    "parent_label": parent_label,
-                    "edge_label": (
-                        None if parent_label is None else abs(label - parent_label)
-                    ),
-                }
-            )
+            f'{sep}{{"vertex": "{format_vertex(vertex)}", "level": {len(vertex) + 1}, '
+            f'"label": {label}, "parent_label": {parent}, "edge_label": {edge}}}'
         )
     out.write("\n]}\n")
 
@@ -299,16 +286,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _add_degrees_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "degrees",
-        nargs="?",
-        default=None,
         help='comma-separated daughter degrees, e.g. "2,3,4"; empty for the single vertex',
-    )
-    parser.add_argument(
-        "--degrees",
-        dest="degrees_flag",
-        default=None,
-        metavar="TEXT",
-        help="alternative to the positional degree sequence",
     )
 
 

@@ -105,10 +105,10 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
     Per level, the lowest digits whose combinations fit in BLOCK are
     expanded in full, and the digit above them (the split digit) in chunks
     of as many values as still fit; one offset table of weighted digit sums
-    covers every block of the level.  A mixed-radix odometer over the
-    remaining high digits moves the base, so labelling costs two C-level
-    maps per block and memory never depends on the vertex count, however
-    long a sibling run is.
+    covers every block of the level.  ``itertools.product`` walks the
+    remaining high digits, whose weighted sum moves the base, so labelling
+    costs two C-level maps per block and memory never depends on the
+    vertex count, however long a sibling run is.
     """
     yield Block((), (), [0], None)
     degrees = shape.degrees
@@ -142,12 +142,10 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
             parent_dots = [
                 d - sign * x * parent_weights[j] for d in parent_dots for x in values
             ]
-        # An odometer over the digits above the split digit; each setting
-        # is the shared prefix of one run of chunks.
-        digits = [0] * split
-        while True:
-            prefix = tuple(digits)
-            dot = sum(map(mul, digits, weights))
+        # Each setting of the digits above the split digit is the shared
+        # prefix of one run of chunks.
+        for prefix in product(*map(range, radices[:split])):
+            dot = sum(map(mul, prefix, weights))
             for first in range(0, radices[split], chunk):
                 last = min(first + chunk, radices[split])
                 size = (last - first) * span
@@ -159,13 +157,6 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
                     list(map(label_shift.__add__, dots[:size])),
                     list(map(parent_shift.__add__, parent_dots[:size])),
                 )
-            for j in reversed(range(split)):
-                digits[j] += 1
-                if digits[j] < radices[j]:
-                    break
-                digits[j] = 0
-            else:
-                break
 
 
 def label_all(shape: TreeShape) -> Iterator[LabelledVertex]:
@@ -195,8 +186,8 @@ def enumerate_vertices(shape: TreeShape) -> Iterator[VertexId]:
     Level by level, and within a level in lexicographic order of the
     child-index sequences.  This is the canonical order for all outputs.
     """
-    for block in label_blocks(shape):
-        yield from block.vertices()
+    for width in range(shape.levels):
+        yield from product(*map(range, shape.degrees[:width]))
 
 
 def records_from_assignment(

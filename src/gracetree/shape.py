@@ -120,4 +120,4 @@ def validate_vertex(shape: TreeShape, vertex: VertexId) -> int:
 
 def format_vertex(vertex: VertexId) -> str:
     """Render a vertex as "(x1,x2,...)"; the root prints as "()"."""
-    return "(" + ",".join(str(x) for x in vertex) + ")"
+    return "(" + ",".join(map(str, vertex)) + ")"

@@ -3,19 +3,20 @@
 Nothing here trusts the closed form or the stream: one pass of
 ``verify_with_weak_alpha`` over a record stream checks gracefulness against
 two presence bitmaps, recomputing every edge label from its end labels,
-and takes the weak separator interval from per-edge extremes.  Chunks of
-records are marked through integer masks; a chunk that could hold a fault
-is checked record by record, so every label is still tested against the
-bitmaps.  Paths have their own zig-zag oracle, and
+and takes the weak separator interval from per-edge extremes.  The stream
+is cut by count alone, since the closed form's consecutive records stay
+dense across level boundaries; each chunk is marked through integer masks,
+and a chunk that could hold a fault is checked record by record, so every
+label is still tested against the bitmaps.  Paths have their own zig-zag oracle, and
 small shapes can be searched exhaustively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from operator import add, itemgetter, mul, sub
-from typing import Iterable, Iterator, NamedTuple
+from itertools import islice
+from operator import add, itemgetter, sub
+from typing import Iterable, NamedTuple
 
 from .errors import LabellingStreamError, SearchCapError
 from .labelling import LabelledVertex, enumerate_vertices
@@ -119,26 +120,6 @@ def _chunk_marks(
     return start, stop, window | mask
 
 
-def _level_chunks(
-    shape: TreeShape, records: Iterable[LabelledVertex]
-) -> Iterator[list[LabelledVertex]]:
-    """The stream cut into lists of at most CHUNK records, one level each.
-
-    Cuts follow the shape's level widths, so the root is a chunk of its
-    own; a stream that runs past the last level goes on in CHUNK-record
-    lists, so the caller sees every record it was given.
-    """
-    stream = iter(records)
-    for width in accumulate(shape.degrees, mul, initial=1):
-        for start in range(0, width, CHUNK):
-            chunk = list(islice(stream, min(CHUNK, width - start)))
-            if not chunk:
-                return
-            yield chunk
-    while chunk := list(islice(stream, CHUNK)):
-        yield chunk
-
-
 def verify_with_weak_alpha(
     shape: TreeShape, records: Iterable[LabelledVertex]
 ) -> tuple[VerificationReport, WeaklyAlphaReport | None]:
@@ -149,9 +130,10 @@ def verify_with_weak_alpha(
     forces the edge labels to be exactly {1, ..., |E|}.  The stream must
     cover every vertex exactly once, else LabellingStreamError.
 
-    Records are checked a chunk at a time: up to CHUNK records of one
-    level, whose labels and induced edge labels are marked in the two
-    presence bitmaps through one integer mask each.  A chunk that is out
+    Records are checked a chunk at a time: the next CHUNK records of the
+    stream, wherever its level boundaries fall, whose labels and induced
+    edge labels are marked in the two presence bitmaps through one
+    integer mask each.  A chunk that is out
     of range, repeats a label, overlaps labels already marked, has a
     record without a parent label, or is too sparse for a bounded mask is
     checked record by record instead, which names every counterexample
@@ -173,7 +155,8 @@ def verify_with_weak_alpha(
     edges_seen = 0
     lo = 0  # max over edges of min(end labels)
     hi: int | None = None  # min over edges of max(end labels)
-    for chunk in _level_chunks(shape, records):
+    stream = iter(records)
+    while chunk := list(islice(stream, CHUNK)):
         count += len(chunk)
         if count > expected:
             raise LabellingStreamError(f"stream longer than {expected} vertices")

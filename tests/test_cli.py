@@ -109,11 +109,6 @@ class TestLabelCommand:
         assert len(rows) - 1 == 33
         assert [int(r[2]) for r in rows[1:]] == list(EXAMPLE_LABELS)
 
-    def test_degrees_flag(self, capsys):
-        code, out, _ = run(capsys, "label", "--degrees", "2,2", "--format", "csv")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 8
-
 
 class TestInvertCommand:
     def test_published_decode(self, capsys):
@@ -275,11 +270,7 @@ class TestExitStatuses:
     def test_missing_degrees(self, capsys):
         code, _, err = run(capsys, "label")
         assert code == 2
-        assert "no degree sequence" in err
-
-    def test_degrees_given_twice(self, capsys):
-        code, _, err = run(capsys, "label", "2,2", "--degrees", "2,2")
-        assert code == 2
+        assert "the following arguments are required: degrees" in err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

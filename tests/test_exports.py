@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names and its imports."""
+
+import ast
+from pathlib import Path
 
 import gracetree
 
@@ -7,3 +10,32 @@ def test_all_names_resolve_once():
     assert len(gracetree.__all__) == len(set(gracetree.__all__))
     missing = [name for name in gracetree.__all__ if not hasattr(gracetree, name)]
     assert missing == []
+
+
+def test_no_unused_imports():
+    # A name counts as used when the module reads it or lists it in __all__.
+    unused = []
+    for path in sorted(Path(gracetree.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert unused == []

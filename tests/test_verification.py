@@ -187,6 +187,20 @@ def corrupt(assignment, vertex, kind, edge_count, rng):
 CORRUPTIONS = ("duplicate", "out of range", "negative", "swapped")
 
 
+def takes_masks(chunk):
+    """Whether the verifier marks a fault-free chunk through its masks.
+
+    A chunk holding the root, or whose labels or edge labels are too
+    sparse for a bounded mask, is checked record by record instead.
+    """
+    if any(r.parent_label is None for r in chunk):
+        return False
+    labels = [r.label for r in chunk]
+    edges = [abs(r.label - r.parent_label) for r in chunk]
+    bound = MASK_BITS_PER_VALUE * len(chunk) + MASK_SLACK_BITS
+    return all(max(values) - min(values) < bound for values in (labels, edges))
+
+
 class TestAgainstReferenceChecker:
     """The chunked verifier returns exactly what a plain per-record check does."""
 
@@ -214,19 +228,17 @@ class TestAgainstReferenceChecker:
                 ), (degrees, kind, vertex)
 
     def test_corruption_on_every_level_of_a_deep_tree(self):
-        # Shallow levels of (2,)*12 are too sparse for a chunk mask and go
-        # record by record; deep levels are marked a chunk at a time.
+        # The chunk holding the root of (2,)*12 goes record by record; the
+        # later CHUNK-record cuts of the stream are marked through masks.
         degrees = (2,) * 12
         shape = build_shape(degrees)
-        assignment = {r.vertex: r.label for r in label_all(shape)}
-        sparse = []
-        for width in range(1, len(degrees) + 1):
-            level = [assignment[v] for v in product(range(2), repeat=width)]
-            for start in range(0, len(level), CHUNK):
-                labels = level[start:start + CHUNK]
-                span = max(labels) - min(labels) + 1
-                sparse.append(span > MASK_BITS_PER_VALUE * len(labels) + MASK_SLACK_BITS)
-        assert any(sparse) and not all(sparse)
+        records = list(label_all(shape))
+        masked = [
+            takes_masks(records[start:start + CHUNK])
+            for start in range(0, len(records), CHUNK)
+        ]
+        assert any(masked) and not all(masked)
+        assignment = {r.vertex: r.label for r in records}
         rng = random.Random(12)
         for width in range(1, len(degrees) + 1):
             level = list(product(range(2), repeat=width))
@@ -237,6 +249,30 @@ class TestAgainstReferenceChecker:
                 assert verify_with_weak_alpha(shape, records) == (
                     reference_reports(degrees, corrupted)
                 ), (kind, vertex)
+
+    @pytest.mark.parametrize("degrees", [(6, 5, 4, 3, 2), (3,) * 7])
+    def test_corruption_beside_every_chunk_cut(self, degrees):
+        # Cuts every CHUNK records fall inside levels and, here, also
+        # inside dense runs that cross a level boundary.
+        shape = build_shape(degrees)
+        records = list(label_all(shape))
+        assignment = {r.vertex: r.label for r in records}
+        assert verify_with_weak_alpha(shape, records) == (
+            reference_reports(degrees, assignment)
+        )
+        chunks = [records[start:start + CHUNK] for start in range(0, len(records), CHUNK)]
+        crossing = [c for c in chunks if len(c[0].vertex) != len(c[-1].vertex)]
+        assert any(map(takes_masks, crossing))
+        rng = random.Random(len(records))
+        for cut in range(CHUNK, len(records), CHUNK):
+            for record in records[cut - 1:cut + 1]:
+                for kind in CORRUPTIONS:
+                    corrupted = corrupt(
+                        assignment, record.vertex, kind, shape.edge_count, rng
+                    )
+                    assert verify_with_weak_alpha(
+                        shape, records_from_assignment(shape, corrupted)
+                    ) == reference_reports(degrees, corrupted), (kind, record.vertex)
 
 
 class TestBruteForce:
