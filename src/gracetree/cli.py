@@ -12,13 +12,13 @@ the output early (``| head``) ends the run quietly with 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
 from contextlib import contextmanager
-from itertools import chain, repeat
+from itertools import islice
+from operator import sub
 
 from .errors import (
     CapacityError,
@@ -29,7 +29,7 @@ from .errors import (
     SearchCapError,
 )
 from .inverse import DecodeState, invert_label, trace_inversion
-from .labelling import label_all, records_from_assignment
+from .labelling import BLOCK, label_all, records_from_assignment
 from .shape import TreeShape, build_shape, format_vertex, parse_degree_sequence
 from .verification import (
     auxiliary_bitmap_bytes,
@@ -69,6 +69,41 @@ def _print_counterexamples(report, limit: int = 10) -> None:
         print(f"  ... and {hidden} more")
 
 
+def _runs(shape: TreeShape):
+    """Cut ``label_all(shape)`` after the root into runs of at most BLOCK
+    records of one level.
+
+    Yields ``(width, columns, labels, parent_labels, edge_labels)``, with
+    the run's vertex ids transposed into ``columns``: one list of digit
+    texts per position, each distinct digit of a column turned into text
+    once, for the writers' ``format_vertex(("%s",) * width)`` rows.
+    Raises ConsistencyError unless the stream is the root record
+    ``((), 0, None)``, then every level in full, then nothing.
+    """
+    records = iter(label_all(shape))
+    if next(records, None) != ((), 0, None):
+        raise ConsistencyError("label stream does not start with the root record")
+    size = 1
+    for width, degree in enumerate(shape.degrees, start=1):
+        size *= degree
+        for left in range(size, 0, -BLOCK):
+            count = min(left, BLOCK)
+            run = list(islice(records, count))
+            if len(run) < count:
+                raise ConsistencyError(f"label stream ends inside level {width + 1}")
+            vertices, labels, parents = zip(*run)
+            if set(map(len, vertices)) != {width}:
+                raise ConsistencyError(f"label stream has a bad id length at level {width + 1}")
+            columns = []
+            for column in zip(*vertices):
+                distinct = set(column)
+                texts = dict(zip(distinct, map(str, distinct)))
+                columns.append(list(map(texts.__getitem__, column)))
+            yield width, columns, labels, parents, map(abs, map(sub, labels, parents))
+    if next(records, None) is not None:
+        raise ConsistencyError(f"label stream runs past {shape.vertex_count} vertices")
+
+
 def _write_table(shape: TreeShape, out) -> None:
     deepest = tuple(k - 1 for k in shape.degrees)
     vw = max(len("vertex"), len(format_vertex(deepest)))
@@ -79,65 +114,48 @@ def _write_table(shape: TreeShape, out) -> None:
     out.write(
         f"{'vertex':<{vw}}  {'level':>{rw}}  {'label':>{lw}}  "
         f"{'parent_label':>{pw}}  {'edge_label':>{ew}}\n"
+        f"{'()':<{vw}}  {1:>{rw}}  {0:>{lw}}  {'-':>{pw}}  {'-':>{ew}}\n"
     )
-    for vertex, label, parent_label in label_all(shape):
-        if parent_label is None:
-            parent = edge = "-"
-        else:
-            parent, edge = str(parent_label), str(abs(label - parent_label))
-        out.write(
-            f"{format_vertex(vertex):<{vw}}  {len(vertex) + 1:>{rw}}  "
-            f"{label:>{lw}}  {parent:>{pw}}  {edge:>{ew}}\n"
-        )
+    for width, columns, labels, parents, edges in _runs(shape):
+        names = map(format_vertex(("%s",) * width).__mod__, zip(*columns))
+        row = f"%-{vw}s  {width + 1:>{rw}}  %{lw}d  %{pw}d  %{ew}d\n"
+        out.write("".join(map(row.__mod__, zip(names, labels, parents, edges))))
 
 
 def _write_csv(shape: TreeShape, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["vertex", "level", "label", "parent_label", "edge_label"])
-    for vertex, label, parent_label in label_all(shape):
-        if parent_label is None:
-            parent = edge = ""
-        else:
-            parent, edge = parent_label, abs(label - parent_label)
-        writer.writerow([format_vertex(vertex), len(vertex) + 1, label, parent, edge])
+    out.write("vertex,level,label,parent_label,edge_label\n(),1,0,,\n")
+    for width, columns, labels, parents, edges in _runs(shape):
+        # An id with two or more digits holds a comma, so it is quoted.
+        name = format_vertex(("%s",) * width)
+        name = name if width == 1 else f'"{name}"'
+        row = f"{name},{width + 1},%d,%d,%d\n"
+        out.write("".join(map(row.__mod__, zip(*columns, labels, parents, edges))))
 
 
 def _write_json(shape: TreeShape, out) -> None:
-    # Records are written one by one so huge trees never materialise.
     out.write(
-        '{"degree_sequence": %s, "level_sizes": %s, '
-        '"vertex_count": %d, "edge_count": %d, "records": ['
-        % (
-            json.dumps(list(shape.degrees)),
-            json.dumps(list(shape.level_sizes)),
-            shape.vertex_count,
-            shape.edge_count,
-        )
+        f'{{"degree_sequence": {json.dumps(list(shape.degrees))}, '
+        f'"level_sizes": {json.dumps(list(shape.level_sizes))}, "vertex_count": '
+        f'{shape.vertex_count}, "edge_count": {shape.edge_count}, "records": [\n'
+        '{"vertex": "()", "level": 1, "label": 0, "parent_label": null, "edge_label": null}'
     )
-    for sep, (vertex, label, parent_label) in zip(
-        chain(("\n",), repeat(",\n")), label_all(shape)
-    ):
-        if parent_label is None:
-            parent = edge = "null"
-        else:
-            parent, edge = parent_label, abs(label - parent_label)
+    for width, columns, labels, parents, edges in _runs(shape):
         # Vertex text is digits, commas and parentheses: nothing to escape.
-        out.write(
-            f'{sep}{{"vertex": "{format_vertex(vertex)}", "level": {len(vertex) + 1}, '
-            f'"label": {label}, "parent_label": {parent}, "edge_label": {edge}}}'
+        row = (
+            f',\n{{"vertex": "{format_vertex(("%s",) * width)}", "level": {width + 1}, '
+            '"label": %d, "parent_label": %d, "edge_label": %d}'
         )
+        out.write("".join(map(row.__mod__, zip(*columns, labels, parents, edges))))
     out.write("\n]}\n")
 
 
 def _write_dot(shape: TreeShape, out) -> None:
-    out.write("digraph labelled_tree {\n")
-    for vertex, label, parent_label in label_all(shape):
-        name = format_vertex(vertex)
-        out.write(f'  "{name}" [label="{label}"];\n')
-        if parent_label is not None:
-            parent_name = format_vertex(vertex[:-1])
-            edge = abs(label - parent_label)
-            out.write(f'  "{parent_name}" -> "{name}" [label="{edge}"];\n')
+    out.write('digraph labelled_tree {\n  "()" [label="0"];\n')
+    for width, columns, labels, parents, edges in _runs(shape):
+        name, parent = format_vertex(("%s",) * width), format_vertex(("%s",) * (width - 1))
+        row = f'  "{name}" [label="%d"];\n  "{parent}" -> "{name}" [label="%d"];\n'
+        fields = zip(*columns, labels, *columns[:-1], *columns, edges)
+        out.write("".join(map(row.__mod__, fields)))
     out.write("}\n")
 
 

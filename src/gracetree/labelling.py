@@ -27,9 +27,9 @@ from typing import Iterator, Mapping, NamedTuple
 from .errors import ConsistencyError, InvalidVertexError, LabellingStreamError
 from .shape import TreeShape, VertexId, validate_vertex
 
-# Most vertices in one block.  Per-block scratch (the offset tables here,
-# the masks in the verifier) grows with it, while each block's fixed cost
-# is spread over more vertices.
+# Most vertices in one block, and in one run of the ``label`` writers.
+# The offset tables grow with it, while each block's fixed cost is spread
+# over more vertices.  The verifier cuts its own chunks (CHUNK).
 BLOCK = 1024
 
 

@@ -13,12 +13,13 @@ small shapes can be searched exhaustively.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import islice
 from operator import add, itemgetter, sub
 from typing import Iterable, NamedTuple
 
-from .errors import LabellingStreamError, SearchCapError
+from .errors import CapacityError, LabellingStreamError, SearchCapError
 from .labelling import LabelledVertex, enumerate_vertices
 from .shape import TreeShape, VertexId
 
@@ -143,8 +144,16 @@ def verify_with_weak_alpha(
     feasible interval is the intersection of the per-edge [min, max]
     intervals.  Memory is two bitmaps (vertex labels 0..|E|, edge labels
     1..|E|) plus per-chunk scratch bounded by CHUNK and the mask
-    constants, so multi-million-vertex streams are fine.
+    constants, so multi-million-vertex streams are fine.  CapacityError
+    is raised before allocating bitmaps larger than physical memory.
     """
+    needed = auxiliary_bitmap_bytes(shape)
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such figure
+        physical = 0
+    if 0 < physical < needed:  # such bitmaps would be zero-filled page by page
+        raise CapacityError(f"bitmaps of {needed} bytes exceed the {physical} bytes of memory")
     expected = shape.vertex_count
     edge_count = shape.edge_count
     vertex_bits = bytearray((edge_count + 8) // 8)

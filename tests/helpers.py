@@ -1,11 +1,23 @@
 """Shared goldens, sweep generators, and independent oracles for the tests."""
 
+from __future__ import annotations
+
+import csv
+import io
+import json
 from collections import deque
-from itertools import product
+from itertools import chain, product, repeat
 
 from hypothesis import strategies as st
 
-from gracetree import Counterexample, VerificationReport, WeaklyAlphaReport
+from gracetree import (
+    Counterexample,
+    TreeShape,
+    VerificationReport,
+    WeaklyAlphaReport,
+    format_vertex,
+    label_all,
+)
 
 # Published worked-example tree: degrees (2,3,4), 33 vertices, labels in
 # breadth-first order.
@@ -126,3 +138,88 @@ def reference_reports(degrees, assignment):
     lo, hi = max(smaller_ends), min(larger_ends)
     claimed = subtree_size_by_products(degrees, 2) if degrees[0] == 2 else None
     return report, WeaklyAlphaReport((lo, hi) if lo <= hi else None, claimed, lo < hi)
+
+
+# Record-at-a-time ``label`` writers: one Python body and one write per
+# record, csv through the csv module.  reference_export holds the output
+# of ``gracetree label --format F`` to byte identity with them.
+
+
+def _write_table(shape: TreeShape, out) -> None:
+    deepest = tuple(k - 1 for k in shape.degrees)
+    vw = max(len("vertex"), len(format_vertex(deepest)))
+    lw = max(len("label"), len(str(shape.edge_count)))
+    rw = max(len("level"), len(str(shape.levels)))
+    pw = max(len("parent_label"), lw)
+    ew = max(len("edge_label"), lw)
+    out.write(
+        f"{'vertex':<{vw}}  {'level':>{rw}}  {'label':>{lw}}  "
+        f"{'parent_label':>{pw}}  {'edge_label':>{ew}}\n"
+    )
+    for vertex, label, parent_label in label_all(shape):
+        if parent_label is None:
+            parent = edge = "-"
+        else:
+            parent, edge = str(parent_label), str(abs(label - parent_label))
+        out.write(
+            f"{format_vertex(vertex):<{vw}}  {len(vertex) + 1:>{rw}}  "
+            f"{label:>{lw}}  {parent:>{pw}}  {edge:>{ew}}\n"
+        )
+
+
+def _write_csv(shape: TreeShape, out) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["vertex", "level", "label", "parent_label", "edge_label"])
+    for vertex, label, parent_label in label_all(shape):
+        if parent_label is None:
+            parent = edge = ""
+        else:
+            parent, edge = parent_label, abs(label - parent_label)
+        writer.writerow([format_vertex(vertex), len(vertex) + 1, label, parent, edge])
+
+
+def _write_json(shape: TreeShape, out) -> None:
+    # Records are written one by one so huge trees never materialise.
+    out.write(
+        '{"degree_sequence": %s, "level_sizes": %s, '
+        '"vertex_count": %d, "edge_count": %d, "records": ['
+        % (
+            json.dumps(list(shape.degrees)),
+            json.dumps(list(shape.level_sizes)),
+            shape.vertex_count,
+            shape.edge_count,
+        )
+    )
+    for sep, (vertex, label, parent_label) in zip(
+        chain(("\n",), repeat(",\n")), label_all(shape)
+    ):
+        if parent_label is None:
+            parent = edge = "null"
+        else:
+            parent, edge = parent_label, abs(label - parent_label)
+        # Vertex text is digits, commas and parentheses: nothing to escape.
+        out.write(
+            f'{sep}{{"vertex": "{format_vertex(vertex)}", "level": {len(vertex) + 1}, '
+            f'"label": {label}, "parent_label": {parent}, "edge_label": {edge}}}'
+        )
+    out.write("\n]}\n")
+
+
+def _write_dot(shape: TreeShape, out) -> None:
+    out.write("digraph labelled_tree {\n")
+    for vertex, label, parent_label in label_all(shape):
+        name = format_vertex(vertex)
+        out.write(f'  "{name}" [label="{label}"];\n')
+        if parent_label is not None:
+            parent_name = format_vertex(vertex[:-1])
+            edge = abs(label - parent_label)
+            out.write(f'  "{parent_name}" -> "{name}" [label="{edge}"];\n')
+    out.write("}\n")
+
+
+def reference_export(shape, fmt):
+    """Text of ``gracetree label --format fmt``, written record by record."""
+    writer = {"table": _write_table, "csv": _write_csv, "json": _write_json, "dot": _write_dot}
+    out = io.StringIO()
+    writer[fmt](shape, out)
+    return out.getvalue()

@@ -7,19 +7,36 @@ import os
 import re
 import subprocess
 import sys
+from itertools import chain, islice
 
 import pytest
 
 import gracetree
 from gracetree import (
+    LabelledVertex,
     brute_force_graceful,
     build_shape,
     enumerate_vertices,
+    label_all,
     records_from_assignment,
 )
 from gracetree import cli
 from gracetree.cli import main
-from helpers import EXAMPLE_LABELS
+from helpers import EXAMPLE_LABELS, reference_export, sweep_degree_sequences
+
+FORMATS = ["csv", "json", "dot", "table"]
+# Levels longer than one run of the writers, levels that end mid-run, and
+# child indices of several digits.
+RUN_EDGE_SHAPES = [
+    (),
+    (1,),
+    (1,) * 40,
+    (1500,),
+    (2, 1500),
+    (3000, 2),
+    (12, 11, 13),
+    (10,) * 4,
+]
 
 
 def run(capsys, *argv):
@@ -108,6 +125,138 @@ class TestLabelCommand:
             rows = list(csv.reader(handle))
         assert len(rows) - 1 == 33
         assert [int(r[2]) for r in rows[1:]] == list(EXAMPLE_LABELS)
+
+
+class TestLabelOutput:
+    """The writers against the record-at-a-time reference, and read back."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_matches_reference_writers(self, capsys, fmt):
+        for degrees in sweep_degree_sequences(max_levels=5) + RUN_EDGE_SHAPES:
+            code, out, err = run(capsys, "label", ",".join(map(str, degrees)), "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out == reference_export(build_shape(degrees), fmt), degrees
+
+    @staticmethod
+    def expected_fields(shape):
+        return [
+            (v, len(v) + 1, label, parent, None if parent is None else abs(label - parent))
+            for v, label, parent in label_all(shape)
+        ]
+
+    @staticmethod
+    def parse_vertex(text):
+        assert text[0] == "(" and text[-1] == ")"
+        return tuple(int(x) for x in text[1:-1].split(",") if x)
+
+    def test_csv_reads_back(self, capsys):
+        shape = build_shape((2, 3, 4, 5))
+        code, out, _ = run(capsys, "label", "2,3,4,5", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["vertex", "level", "label", "parent_label", "edge_label"]
+        fields = [
+            (self.parse_vertex(v), int(level), int(label))
+            + tuple(int(x) if x else None for x in (parent, edge))
+            for v, level, label, parent, edge in rows[1:]
+        ]
+        assert fields == self.expected_fields(shape)
+
+    def test_json_reads_back(self, capsys):
+        shape = build_shape((2, 3, 4, 5))
+        code, out, _ = run(capsys, "label", "2,3,4,5", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["level_sizes"] == list(shape.level_sizes)
+        fields = [
+            (
+                self.parse_vertex(r["vertex"]),
+                r["level"],
+                r["label"],
+                r["parent_label"],
+                r["edge_label"],
+            )
+            for r in payload["records"]
+        ]
+        assert fields == self.expected_fields(shape)
+
+    def test_dot_reads_back(self, capsys):
+        shape = build_shape((2, 3, 4, 5))
+        code, out, _ = run(capsys, "label", "2,3,4,5", "--format", "dot")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "digraph labelled_tree {" and lines[-1] == "}"
+        node = re.compile(r'  "(\([\d,]*\))" \[label="(\d+)"\];')
+        edge = re.compile(r'  "(\([\d,]*\))" -> "(\([\d,]*\))" \[label="(\d+)"\];')
+        nodes = [m.groups() for m in map(node.fullmatch, lines[1:-1]) if m]
+        edges = [m.groups() for m in map(edge.fullmatch, lines[1:-1]) if m]
+        assert len(nodes) == shape.vertex_count
+        assert len(edges) == shape.edge_count
+        assert len(nodes) + len(edges) == len(lines) - 2
+        expected = self.expected_fields(shape)
+        assert [(self.parse_vertex(v), int(x)) for v, x in nodes] == [
+            (v, label) for v, _, label, _, _ in expected
+        ]
+        assert [(self.parse_vertex(p), self.parse_vertex(c), int(x)) for p, c, x in edges] == [
+            (v[:-1], v, e) for v, _, _, _, e in expected[1:]
+        ]
+
+
+def _drop_root(shape):
+    return islice(label_all(shape), 1, None)
+
+
+def _wrong_root(shape):
+    records = label_all(shape)
+    next(records)
+    return chain([LabelledVertex((), 1, None)], records)
+
+
+def _short(shape):
+    return islice(label_all(shape), shape.vertex_count - 1)
+
+
+def _long(shape):
+    deepest = tuple(k - 1 for k in shape.degrees)
+    return chain(label_all(shape), [LabelledVertex(deepest, 0, 0)])
+
+
+def _wrong_length(shape):
+    # A level-3 vertex id in the middle of level 4.
+    records = list(label_all(shape))
+    vertex, label, parent_label = records[-5]
+    records[-5] = LabelledVertex(vertex[:-1], label, parent_label)
+    return iter(records)
+
+
+class TestLabelStreamGuard:
+    """A faulty record stream ends in exit 5 with an internal error."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "stream, message",
+        [
+            (_drop_root, "does not start with the root record"),
+            (_wrong_root, "does not start with the root record"),
+            (_short, "ends inside level 4"),
+            (_long, "runs past 33 vertices"),
+            (_wrong_length, "bad id length at level 4"),
+        ],
+    )
+    def test_fault(self, capsys, monkeypatch, fmt, stream, message):
+        monkeypatch.setattr(cli, "label_all", stream)
+        code, _, err = run(capsys, "label", "2,3,4", "--format", fmt)
+        assert code == 5
+        assert err.startswith("internal error: label stream ")
+        assert message in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_root_only_tree_runs_past(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "label_all", lambda shape: iter(label_all(build_shape((1,)))))
+        code, _, err = run(capsys, "label", "", "--format", fmt)
+        assert code == 5
+        assert "runs past 1 vertices" in err
 
 
 class TestInvertCommand:
@@ -262,6 +411,15 @@ class TestExitStatuses:
         assert len(err.splitlines()) == 1
         assert "result:" not in out
 
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_bitmaps_beyond_physical_memory(self, capsys, monkeypatch, command):
+        # 32 KiB of bitmaps on a machine that reports 16 KiB of memory.
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 4096}.get)
+        code, out, err = run(capsys, command, ",".join(["2"] * 16))
+        assert code == 3
+        assert err == "error: bitmaps of 32768 bytes exceed the 16384 bytes of memory\n"
+        assert "result:" not in out
+
     def test_io_failure(self, capsys, tmp_path):
         missing = tmp_path / "no-such-dir" / "x.csv"
         code, _, err = run(capsys, "label", "2,2", "--out", str(missing))
@@ -276,17 +434,27 @@ class TestExitStatuses:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
-    def test_reader_closing_early_is_quiet(self):
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_reader_closing_early_is_quiet(self, fmt):
+        first_line = {
+            "csv": b"vertex,level,label,parent_label,edge_label\n",
+            "json": b'{"degree_sequence": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2], ',
+            "dot": b"digraph labelled_tree {\n",
+            "table": b"vertex    ",
+        }[fmt]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(gracetree.__file__))
-        degrees = ",".join(["2"] * 16)  # several MB of csv, far beyond a pipe buffer
+        # Several MB in every format, far beyond a pipe buffer; each run
+        # of records is one write of about 100 KB, which the closed pipe
+        # can cut in the middle.
+        degrees = ",".join(["2"] * 16)
         with subprocess.Popen(
-            [sys.executable, "-m", "gracetree", "label", degrees, "--format", "csv"],
+            [sys.executable, "-m", "gracetree", "label", degrees, "--format", fmt],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
         ) as proc:
-            assert proc.stdout.readline() == b"vertex,level,label,parent_label,edge_label\n"
+            assert proc.stdout.readline().startswith(first_line)
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 0

@@ -1,11 +1,13 @@
 """Gracefulness verification, separator feasibility, and the independent oracles."""
 
+import os
 import random
 from itertools import product
 
 import pytest
 
 from gracetree import (
+    CapacityError,
     LabellingStreamError,
     SearchCapError,
     auxiliary_bitmap_bytes,
@@ -150,6 +152,42 @@ class TestCheckWeaklyAlpha:
         _, report = verify_with_weak_alpha(shape, label_all(shape))
         assert report.feasible_k_range == (0, 1)
         assert report.strict_alpha_feasible
+
+
+def small_machine(pages):
+    """A stand-in for os.sysconf on a machine of ``pages`` 4 KiB pages."""
+    return {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}.__getitem__
+
+
+class TestMemoryAdmission:
+    """Bitmaps beyond physical memory are refused before they are allocated."""
+
+    def test_bitmaps_beyond_physical_memory(self, monkeypatch):
+        shape = build_shape((2,) * 16)  # 2 x 16 KiB of bitmaps
+        monkeypatch.setattr(os, "sysconf", small_machine(4))
+        with pytest.raises(CapacityError, match="memory"):
+            # A stream that is never read: the check comes first.
+            verify_with_weak_alpha(shape, iter(()))
+
+    def test_bitmaps_within_physical_memory(self, monkeypatch):
+        shape = build_shape((2,) * 16)
+        assert auxiliary_bitmap_bytes(shape) == 8 * 4096
+        monkeypatch.setattr(os, "sysconf", small_machine(8))
+        assert verify_with_weak_alpha(shape, label_all(shape))[0].passed
+
+    @pytest.mark.parametrize("how", ["no sysconf", "unknown name", "reports -1"])
+    def test_unknown_memory_size_admits(self, monkeypatch, how):
+        def unknown_name(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        if how == "no sysconf":
+            monkeypatch.delattr(os, "sysconf")
+        elif how == "unknown name":
+            monkeypatch.setattr(os, "sysconf", unknown_name)
+        else:
+            monkeypatch.setattr(os, "sysconf", small_machine(-1))
+        shape = build_shape((2, 3, 4))
+        assert verify_with_weak_alpha(shape, label_all(shape))[0].passed
 
 
 class TestVerifyWithWeakAlpha:
