@@ -78,7 +78,7 @@ def _runs(shape: TreeShape):
     texts per position, each distinct digit of a column turned into text
     once, for the writers' ``format_vertex(("%s",) * width)`` rows.
     Raises ConsistencyError unless the stream is the root record
-    ``((), 0, None)``, then every level in full, then nothing.
+    ``((), 0, None)``, then every level in full with parent labels, then nothing.
     """
     records = iter(label_all(shape))
     if next(records, None) != ((), 0, None):
@@ -94,6 +94,8 @@ def _runs(shape: TreeShape):
             vertices, labels, parents = zip(*run)
             if set(map(len, vertices)) != {width}:
                 raise ConsistencyError(f"label stream has a bad id length at level {width + 1}")
+            if None in parents:
+                raise ConsistencyError(f"label stream has no parent label at level {width + 1}")
             columns = []
             for column in zip(*vertices):
                 distinct = set(column)

@@ -21,7 +21,7 @@ offset table shifted by a per-block base.  ``label_blocks`` is the core;
 from __future__ import annotations
 
 from itertools import chain, product, repeat
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import ConsistencyError, InvalidVertexError, LabellingStreamError
@@ -60,7 +60,7 @@ class Block(NamedTuple):
 
     def vertices(self) -> Iterator[VertexId]:
         """The block's vertex ids, built only when asked for."""
-        return map(self.prefix.__add__, product(*self.ranges))
+        return map(add, repeat(self.prefix), product(*self.ranges))
 
 
 def label_vertex(shape: TreeShape, vertex: VertexId) -> int:
@@ -154,8 +154,8 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
                 yield Block(
                     prefix,
                     (range(first, last),) + full_ranges,
-                    list(map(label_shift.__add__, dots[:size])),
-                    list(map(parent_shift.__add__, parent_dots[:size])),
+                    list(map(add, repeat(label_shift), dots[:size])),
+                    list(map(add, repeat(parent_shift), parent_dots[:size])),
                 )
 
 

@@ -5,10 +5,11 @@ Nothing here trusts the closed form or the stream: one pass of
 two presence bitmaps, recomputing every edge label from its end labels,
 and takes the weak separator interval from per-edge extremes.  The stream
 is cut by count alone, since the closed form's consecutive records stay
-dense across level boundaries; each chunk is marked through integer masks,
-and a chunk that could hold a fault is checked record by record, so every
-label is still tested against the bitmaps.  Paths have their own zig-zag oracle, and
-small shapes can be searched exhaustively.
+dense across level boundaries; each chunk is marked through integer masks
+(from plain label differences where all its children lie on one side of
+their parents), and a chunk that could hold a fault is checked record by
+record, so every label is still tested against the bitmaps.  Paths have
+their own zig-zag oracle, and small shapes can be searched exhaustively.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import islice
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, neg, sub
 from typing import Iterable, NamedTuple
 
 from .errors import CapacityError, LabellingStreamError, SearchCapError
@@ -88,18 +89,16 @@ def auxiliary_bitmap_bytes(shape: TreeShape) -> int:
 
 
 def _chunk_marks(
-    bitmap: bytearray, values: list[int], first: int, last: int
+    bitmap: bytearray, values: list[int], low: int, high: int, first: int, last: int
 ) -> tuple[int, int, int] | None:
     """The bitmap bytes one chunk's values would set, or None to check per record.
 
-    ``values`` map to bits ``value - first`` and must lie in [first, last].
+    ``values`` (min ``low``, max ``high``) map to bits ``value - first``, in [first, last].
     Returns ``(start, stop, window)``: ``window`` is ``bitmap[start:stop]``
     read as a little-endian integer with the values' bits added.  None when
     a value is out of range, repeats, is already marked, or the values are
     too sparse for a mask of bounded size; the bitmap is never written.
     """
-    low = min(values)
-    high = max(values)
     span = high - low + 1
     if low < first or high > last:
         return None
@@ -133,12 +132,13 @@ def verify_with_weak_alpha(
 
     Records are checked a chunk at a time: the next CHUNK records of the
     stream, wherever its level boundaries fall, whose labels and induced
-    edge labels are marked in the two presence bitmaps through one
-    integer mask each.  A chunk that is out
-    of range, repeats a label, overlaps labels already marked, has a
-    record without a parent label, or is too sparse for a bounded mask is
-    checked record by record instead, which names every counterexample
-    in stream order.
+    edge labels are marked in the two presence bitmaps through one integer
+    mask each.  A chunk whose children all lie above their parents, or all
+    below, takes its edge labels from the label differences and its
+    separator ends from label extremes.  A chunk that is out of range,
+    repeats a label, overlaps labels already marked, has a record without
+    a parent label, or is too sparse for a bounded mask is checked record
+    by record instead, which names every counterexample in stream order.
 
     The weak-separator report is None when verification fails; its
     feasible interval is the intersection of the per-edge [min, max]
@@ -172,11 +172,18 @@ def verify_with_weak_alpha(
         labels = list(map(LABEL, chunk))
         parent_labels = list(map(PARENT_LABEL, chunk))
         if None not in parent_labels:
-            edge_labels = list(map(abs, map(sub, labels, parent_labels)))
-            vertex_marks = _chunk_marks(vertex_bits, labels, 0, edge_count)
-            edge_marks = vertex_marks and _chunk_marks(
-                edge_bits, edge_labels, 1, edge_count
-            )
+            low, high = min(labels), max(labels)
+            diffs = list(map(sub, labels, parent_labels))
+            below, above = min(diffs), max(diffs)
+            if below > 0:  # every child above its parent
+                edges, extremes = diffs, (below, above)
+            elif above < 0:  # every child below its parent
+                edges, extremes = list(map(neg, diffs)), (-above, -below)
+            else:  # children on both sides, or a zero edge
+                edges = list(map(abs, diffs))
+                extremes = min(edges), max(edges)
+            vertex_marks = _chunk_marks(vertex_bits, labels, low, high, 0, edge_count)
+            edge_marks = vertex_marks and _chunk_marks(edge_bits, edges, *extremes, 1, edge_count)
             if edge_marks:
                 for bitmap, (start, stop, window) in (
                     (vertex_bits, vertex_marks),
@@ -184,10 +191,15 @@ def verify_with_weak_alpha(
                 ):
                     bitmap[start:stop] = window.to_bytes(stop - start, "little")
                 edges_seen += len(labels)
-                # label + parent -/+ edge label is twice the smaller/larger end.
-                sums = list(map(add, labels, parent_labels))
-                small = max(map(sub, sums, edge_labels)) // 2
-                large = min(map(add, sums, edge_labels)) // 2
+                if below > 0:
+                    small, large = max(parent_labels), low
+                elif above < 0:
+                    small, large = high, min(parent_labels)
+                else:
+                    # label + parent -/+ edge label is twice the smaller/larger end.
+                    sums = list(map(add, labels, parent_labels))
+                    small = max(map(sub, sums, edges)) // 2
+                    large = min(map(add, sums, edges)) // 2
                 if small > lo:
                     lo = small
                 if hi is None or large < hi:

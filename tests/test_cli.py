@@ -20,7 +20,7 @@ from gracetree import (
     label_all,
     records_from_assignment,
 )
-from gracetree import cli
+from gracetree import cli, labelling, verification
 from gracetree.cli import main
 from helpers import EXAMPLE_LABELS, reference_export, sweep_degree_sequences
 
@@ -229,6 +229,14 @@ def _wrong_length(shape):
     return iter(records)
 
 
+def _no_parent_label(shape):
+    # The sixth record of (2,3,4) lies on level 3.
+    records = list(label_all(shape))
+    vertex, label, _ = records[5]
+    records[5] = LabelledVertex(vertex, label, None)
+    return iter(records)
+
+
 class TestLabelStreamGuard:
     """A faulty record stream ends in exit 5 with an internal error."""
 
@@ -241,6 +249,7 @@ class TestLabelStreamGuard:
             (_short, "ends inside level 4"),
             (_long, "runs past 33 vertices"),
             (_wrong_length, "bad id length at level 4"),
+            (_no_parent_label, "no parent label at level 3"),
         ],
     )
     def test_fault(self, capsys, monkeypatch, fmt, stream, message):
@@ -257,6 +266,13 @@ class TestLabelStreamGuard:
         code, _, err = run(capsys, "label", "", "--format", fmt)
         assert code == 5
         assert "runs past 1 vertices" in err
+
+
+def test_cli_reads_the_benchmarked_stream_and_verifier():
+    # The benchmark traces and fault-injects through these two names of
+    # the cli module, so they must be the library's own functions.
+    assert cli.label_all is labelling.label_all
+    assert cli.verify_with_weak_alpha is verification.verify_with_weak_alpha
 
 
 class TestInvertCommand:

@@ -216,6 +216,9 @@ def corrupt(assignment, vertex, kind, edge_count, rng):
         corrupted[vertex] = edge_count + 1 + rng.randrange(3)
     elif kind == "negative":
         corrupted[vertex] = -1 - rng.randrange(3)
+    elif kind == "mirrored":
+        # Across the parent's label: the same edge label, the other side.
+        corrupted[vertex] = 2 * assignment[vertex[:-1]] - assignment[vertex]
     else:  # swapped
         other = rng.choice(others)
         corrupted[vertex], corrupted[other] = assignment[other], assignment[vertex]
@@ -237,6 +240,16 @@ def takes_masks(chunk):
     edges = [abs(r.label - r.parent_label) for r in chunk]
     bound = MASK_BITS_PER_VALUE * len(chunk) + MASK_SLACK_BITS
     return all(max(values) - min(values) < bound for values in (labels, edges))
+
+
+def chunk_side(chunk):
+    """Where a root-free chunk's children lie: all above, all below, or mixed."""
+    diffs = [r.label - r.parent_label for r in chunk]
+    if min(diffs) > 0:
+        return "above"
+    if max(diffs) < 0:
+        return "below"
+    return "mixed"
 
 
 class TestAgainstReferenceChecker:
@@ -311,6 +324,49 @@ class TestAgainstReferenceChecker:
                     assert verify_with_weak_alpha(
                         shape, records_from_assignment(shape, corrupted)
                     ) == reference_reports(degrees, corrupted), (kind, record.vertex)
+
+    @pytest.mark.parametrize("degrees", [(6, 5, 4, 3, 2), (2,) * 12])
+    def test_corruption_in_one_sided_and_mixed_chunks(self, degrees):
+        # Chunks whose children all lie above, or all below, their parents
+        # take the verifier's one-sided shortcut; chunks with children on
+        # both sides (across a level boundary, or where the first digit
+        # changes inside a level) take the abs route.
+        shape = build_shape(degrees)
+        records = list(label_all(shape))
+        assignment = {r.vertex: r.label for r in records}
+        masked = {}
+        # The first chunk holds the root, which has no parent label.
+        for start in range(CHUNK, len(records), CHUNK):
+            chunk = records[start:start + CHUNK]
+            if takes_masks(chunk):
+                masked.setdefault(chunk_side(chunk), chunk)
+        assert set(masked) == {"above", "below", "mixed"}
+        rng = random.Random(sum(degrees))
+        for side, chunk in masked.items():
+            for kind in CORRUPTIONS + ("mirrored",):
+                record = rng.choice(chunk)
+                corrupted = corrupt(assignment, record.vertex, kind, shape.edge_count, rng)
+                if kind == "mirrored":
+                    moved = [r._replace(label=corrupted[r.vertex]) for r in chunk]
+                    assert chunk_side(moved) == "mixed", side
+                assert verify_with_weak_alpha(
+                    shape, records_from_assignment(shape, corrupted)
+                ) == reference_reports(degrees, corrupted), (side, kind, record.vertex)
+
+    @pytest.mark.parametrize("degrees", [(300,), (2, 253, 2)])
+    def test_separator_ends_from_one_sided_chunks(self, degrees):
+        # Edges that bound the separator interval lie in one-sided chunks
+        # past the root's: in (2, 253, 2) records 256..511 hold every child
+        # of vertex (1), whose label h_2 is the interval, and the first
+        # children of level 4, whose parents' labels are smaller.
+        # E - label is graceful too, with every child on the other side.
+        shape = build_shape(degrees)
+        assignment = {r.vertex: r.label for r in label_all(shape)}
+        mirrored = {v: shape.edge_count - label for v, label in assignment.items()}
+        for labelling in (assignment, mirrored):
+            assert verify_with_weak_alpha(
+                shape, records_from_assignment(shape, labelling)
+            ) == reference_reports(degrees, labelling)
 
 
 class TestBruteForce:
