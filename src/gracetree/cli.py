@@ -18,7 +18,7 @@ import sys
 import time
 from contextlib import contextmanager
 from itertools import islice
-from operator import sub
+from operator import add, sub
 
 from .errors import (
     CapacityError,
@@ -73,10 +73,9 @@ def _runs(shape: TreeShape):
     """Cut ``label_all(shape)`` after the root into runs of at most BLOCK
     records of one level.
 
-    Yields ``(width, columns, labels, parent_labels, edge_labels)``, with
-    the run's vertex ids transposed into ``columns``: one list of digit
-    texts per position, each distinct digit of a column turned into text
-    once, for the writers' ``format_vertex(("%s",) * width)`` rows.
+    Yields ``(width, vertices, labels, parent_labels, edge_labels)``, the
+    run's records taken apart into fields, for the writers'
+    ``format_vertex(("%d",) * width)`` rows.
     Raises ConsistencyError unless the stream is the root record
     ``((), 0, None)``, then every level in full with parent labels, then nothing.
     """
@@ -96,12 +95,7 @@ def _runs(shape: TreeShape):
                 raise ConsistencyError(f"label stream has a bad id length at level {width + 1}")
             if None in parents:
                 raise ConsistencyError(f"label stream has no parent label at level {width + 1}")
-            columns = []
-            for column in zip(*vertices):
-                distinct = set(column)
-                texts = dict(zip(distinct, map(str, distinct)))
-                columns.append(list(map(texts.__getitem__, column)))
-            yield width, columns, labels, parents, map(abs, map(sub, labels, parents))
+            yield width, vertices, labels, parents, map(abs, map(sub, labels, parents))
     if next(records, None) is not None:
         raise ConsistencyError(f"label stream runs past {shape.vertex_count} vertices")
 
@@ -118,20 +112,21 @@ def _write_table(shape: TreeShape, out) -> None:
         f"{'parent_label':>{pw}}  {'edge_label':>{ew}}\n"
         f"{'()':<{vw}}  {1:>{rw}}  {0:>{lw}}  {'-':>{pw}}  {'-':>{ew}}\n"
     )
-    for width, columns, labels, parents, edges in _runs(shape):
-        names = map(format_vertex(("%s",) * width).__mod__, zip(*columns))
+    for width, vertices, labels, parents, edges in _runs(shape):
+        names = map(format_vertex(("%d",) * width).__mod__, vertices)
         row = f"%-{vw}s  {width + 1:>{rw}}  %{lw}d  %{pw}d  %{ew}d\n"
         out.write("".join(map(row.__mod__, zip(names, labels, parents, edges))))
 
 
 def _write_csv(shape: TreeShape, out) -> None:
     out.write("vertex,level,label,parent_label,edge_label\n(),1,0,,\n")
-    for width, columns, labels, parents, edges in _runs(shape):
+    for width, vertices, labels, parents, edges in _runs(shape):
         # An id with two or more digits holds a comma, so it is quoted.
-        name = format_vertex(("%s",) * width)
+        name = format_vertex(("%d",) * width)
         name = name if width == 1 else f'"{name}"'
         row = f"{name},{width + 1},%d,%d,%d\n"
-        out.write("".join(map(row.__mod__, zip(*columns, labels, parents, edges))))
+        fields = map(add, vertices, zip(labels, parents, edges))
+        out.write("".join(map(row.__mod__, fields)))
 
 
 def _write_json(shape: TreeShape, out) -> None:
@@ -141,23 +136,25 @@ def _write_json(shape: TreeShape, out) -> None:
         f'{shape.vertex_count}, "edge_count": {shape.edge_count}, "records": [\n'
         '{"vertex": "()", "level": 1, "label": 0, "parent_label": null, "edge_label": null}'
     )
-    for width, columns, labels, parents, edges in _runs(shape):
+    for width, vertices, labels, parents, edges in _runs(shape):
         # Vertex text is digits, commas and parentheses: nothing to escape.
         row = (
-            f',\n{{"vertex": "{format_vertex(("%s",) * width)}", "level": {width + 1}, '
+            f',\n{{"vertex": "{format_vertex(("%d",) * width)}", "level": {width + 1}, '
             '"label": %d, "parent_label": %d, "edge_label": %d}'
         )
-        out.write("".join(map(row.__mod__, zip(*columns, labels, parents, edges))))
+        fields = map(add, vertices, zip(labels, parents, edges))
+        out.write("".join(map(row.__mod__, fields)))
     out.write("\n]}\n")
 
 
 def _write_dot(shape: TreeShape, out) -> None:
     out.write('digraph labelled_tree {\n  "()" [label="0"];\n')
-    for width, columns, labels, parents, edges in _runs(shape):
-        name, parent = format_vertex(("%s",) * width), format_vertex(("%s",) * (width - 1))
-        row = f'  "{name}" [label="%d"];\n  "{parent}" -> "{name}" [label="%d"];\n'
-        fields = zip(*columns, labels, *columns[:-1], *columns, edges)
-        out.write("".join(map(row.__mod__, fields)))
+    for width, vertices, labels, parents, edges in _runs(shape):
+        name, parent = format_vertex(("%d",) * width), format_vertex(("%d",) * (width - 1))
+        names = list(map(name.__mod__, vertices))
+        parent_names = [parent % vertex[:-1] for vertex in vertices]
+        row = '  "%s" [label="%d"];\n  "%s" -> "%s" [label="%d"];\n'
+        out.write("".join(map(row.__mod__, zip(names, labels, parent_names, names, edges))))
     out.write("}\n")
 
 

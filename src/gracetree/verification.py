@@ -5,11 +5,11 @@ Nothing here trusts the closed form or the stream: one pass of
 two presence bitmaps, recomputing every edge label from its end labels,
 and takes the weak separator interval from per-edge extremes.  The stream
 is cut by count alone, since the closed form's consecutive records stay
-dense across level boundaries; each chunk is marked through integer masks
-(from plain label differences where all its children lie on one side of
-their parents), and a chunk that could hold a fault is checked record by
-record, so every label is still tested against the bitmaps.  Paths have
-their own zig-zag oracle, and small shapes can be searched exhaustively.
+dense across level boundaries.  A chunk whose children all lie on one side
+of their parents is marked through integer masks from plain label
+differences; any other chunk, and one that could hold a fault, is checked
+record by record, so every label is still tested against the bitmaps.
+Paths have their own zig-zag oracle; small shapes can be searched exhaustively.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import islice
-from operator import add, itemgetter, neg, sub
-from typing import Iterable, NamedTuple
+from operator import neg, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError, LabellingStreamError, SearchCapError
 from .labelling import LabelledVertex, enumerate_vertices
@@ -29,14 +29,11 @@ from .shape import TreeShape, VertexId
 # slower on the 2,097,151-vertex binary tree.
 CHUNK = 256
 # A chunk is marked through one scratch mask only when its values span at
-# most MASK_BITS_PER_VALUE bits per value plus MASK_SLACK_BITS, which caps
-# the mask's digit buffer near 16 KB at CHUNK = 256.  Sparser chunks (the
-# shallow levels of deep trees) are checked record by record.
+# most MASK_BITS_PER_VALUE bits per value, plus one value's worth, which
+# caps the mask's digit buffer near 16 KB at CHUNK = 256.  Sparser chunks
+# (the shallow levels of deep trees) are checked record by record.
 MASK_BITS_PER_VALUE = 64
-MASK_SLACK_BITS = 64
 ONE_DIGIT = ord("1")
-LABEL = itemgetter(1)
-PARENT_LABEL = itemgetter(2)
 
 
 class Counterexample(NamedTuple):
@@ -89,7 +86,7 @@ def auxiliary_bitmap_bytes(shape: TreeShape) -> int:
 
 
 def _chunk_marks(
-    bitmap: bytearray, values: list[int], low: int, high: int, first: int, last: int
+    bitmap: bytearray, values: Sequence[int], low: int, high: int, first: int, last: int
 ) -> tuple[int, int, int] | None:
     """The bitmap bytes one chunk's values would set, or None to check per record.
 
@@ -102,7 +99,7 @@ def _chunk_marks(
     span = high - low + 1
     if low < first or high > last:
         return None
-    if span > MASK_BITS_PER_VALUE * len(values) + MASK_SLACK_BITS:
+    if span > MASK_BITS_PER_VALUE * (len(values) + 1):
         return None
     # Base-2 digits, most significant first: the digit at high - v is bit
     # v - low of the mask.  int() reads power-of-two bases in linear time.
@@ -131,20 +128,20 @@ def verify_with_weak_alpha(
     cover every vertex exactly once, else LabellingStreamError.
 
     Records are checked a chunk at a time: the next CHUNK records of the
-    stream, wherever its level boundaries fall, whose labels and induced
-    edge labels are marked in the two presence bitmaps through one integer
-    mask each.  A chunk whose children all lie above their parents, or all
-    below, takes its edge labels from the label differences and its
-    separator ends from label extremes.  A chunk that is out of range,
-    repeats a label, overlaps labels already marked, has a record without
-    a parent label, or is too sparse for a bounded mask is checked record
-    by record instead, which names every counterexample in stream order.
+    stream, wherever its level boundaries fall.  A chunk whose children all
+    lie above their parents (or all below) takes the label differences (or
+    their negations) as edge labels and the parent (or child) labels as
+    smaller ends; it is marked in the two presence bitmaps through one
+    integer mask each, and its separator ends are max(smaller ends) and
+    min(larger ends).  Any other chunk, or one that lacks a parent label, is
+    out of range, repeats or overlaps labels, or is too sparse for a bounded
+    mask, is checked record by record, naming counterexamples in stream order.
 
     The weak-separator report is None when verification fails; its
     feasible interval is the intersection of the per-edge [min, max]
     intervals.  Memory is two bitmaps (vertex labels 0..|E|, edge labels
-    1..|E|) plus per-chunk scratch bounded by CHUNK and the mask
-    constants, so multi-million-vertex streams are fine.  CapacityError
+    1..|E|) plus per-chunk scratch bounded by CHUNK and
+    MASK_BITS_PER_VALUE, so multi-million-vertex streams are fine.  CapacityError
     is raised before allocating bitmaps larger than physical memory.
     """
     needed = auxiliary_bitmap_bytes(shape)
@@ -169,42 +166,35 @@ def verify_with_weak_alpha(
         count += len(chunk)
         if count > expected:
             raise LabellingStreamError(f"stream longer than {expected} vertices")
-        labels = list(map(LABEL, chunk))
-        parent_labels = list(map(PARENT_LABEL, chunk))
+        _, labels, parent_labels = zip(*chunk)
+        edges = None
         if None not in parent_labels:
-            low, high = min(labels), max(labels)
             diffs = list(map(sub, labels, parent_labels))
-            below, above = min(diffs), max(diffs)
-            if below > 0:  # every child above its parent
-                edges, extremes = diffs, (below, above)
-            elif above < 0:  # every child below its parent
-                edges, extremes = list(map(neg, diffs)), (-above, -below)
-            else:  # children on both sides, or a zero edge
-                edges = list(map(abs, diffs))
-                extremes = min(edges), max(edges)
-            vertex_marks = _chunk_marks(vertex_bits, labels, low, high, 0, edge_count)
-            edge_marks = vertex_marks and _chunk_marks(edge_bits, edges, *extremes, 1, edge_count)
-            if edge_marks:
-                for bitmap, (start, stop, window) in (
-                    (vertex_bits, vertex_marks),
-                    (edge_bits, edge_marks),
-                ):
-                    bitmap[start:stop] = window.to_bytes(stop - start, "little")
-                edges_seen += len(labels)
-                if below > 0:
-                    small, large = max(parent_labels), low
-                elif above < 0:
-                    small, large = high, min(parent_labels)
-                else:
-                    # label + parent -/+ edge label is twice the smaller/larger end.
-                    sums = list(map(add, labels, parent_labels))
-                    small = max(map(sub, sums, edges)) // 2
-                    large = min(map(add, sums, edges)) // 2
-                if small > lo:
-                    lo = small
-                if hi is None or large < hi:
-                    hi = large
-                continue
+            low, high = min(diffs), max(diffs)
+            if low > 0:  # every child above its parent: parents are the smaller ends
+                edges, smaller, larger = diffs, parent_labels, labels
+            elif high < 0:  # every child below its parent: children are the smaller ends
+                edges, smaller, larger = list(map(neg, diffs)), labels, parent_labels
+                low, high = -high, -low
+        # A chunk with children on both sides, or with a zero edge, keeps
+        # edges None and is checked record by record.
+        vertex_marks = edges and _chunk_marks(
+            vertex_bits, labels, min(labels), max(labels), 0, edge_count
+        )
+        edge_marks = vertex_marks and _chunk_marks(edge_bits, edges, low, high, 1, edge_count)
+        if edge_marks:
+            for bitmap, (start, stop, window) in (
+                (vertex_bits, vertex_marks),
+                (edge_bits, edge_marks),
+            ):
+                bitmap[start:stop] = window.to_bytes(stop - start, "little")
+            edges_seen += len(labels)
+            small, large = max(smaller), min(larger)
+            if small > lo:
+                lo = small
+            if hi is None or large < hi:
+                hi = large
+            continue
         for vertex, label, parent_label in chunk:
             if 0 <= label <= edge_count:
                 byte, bit = divmod(label, 8)

@@ -39,3 +39,42 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert unused == []
+
+
+def test_no_unread_top_level_names():
+    # A top-level def, class or assignment counts as read when some module
+    # of the package loads it, imports it or lists it in __all__; dunder
+    # names such as __version__ are exempt.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(gracetree.__file__).parent.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{name}:{node.lineno} {defined_name}"
+                for defined_name in defined
+                if defined_name not in read
+                and not (defined_name.startswith("__") and defined_name.endswith("__"))
+            ]
+    assert unread == []

@@ -19,7 +19,8 @@ from gracetree import (
     records_from_assignment,
     verify_with_weak_alpha,
 )
-from gracetree.verification import CHUNK, MASK_BITS_PER_VALUE, MASK_SLACK_BITS
+from gracetree import verification
+from gracetree.verification import CHUNK, MASK_BITS_PER_VALUE
 from helpers import degree_sequences_up_to, reference_reports, sweep_degree_sequences
 
 
@@ -231,14 +232,15 @@ CORRUPTIONS = ("duplicate", "out of range", "negative", "swapped")
 def takes_masks(chunk):
     """Whether the verifier marks a fault-free chunk through its masks.
 
-    A chunk holding the root, or whose labels or edge labels are too
+    A chunk holding the root, one with children on both sides of their
+    parents or a zero edge, or one whose labels or edge labels are too
     sparse for a bounded mask, is checked record by record instead.
     """
-    if any(r.parent_label is None for r in chunk):
+    if any(r.parent_label is None for r in chunk) or chunk_side(chunk) == "mixed":
         return False
     labels = [r.label for r in chunk]
     edges = [abs(r.label - r.parent_label) for r in chunk]
-    bound = MASK_BITS_PER_VALUE * len(chunk) + MASK_SLACK_BITS
+    bound = MASK_BITS_PER_VALUE * (len(chunk) + 1)
     return all(max(values) - min(values) < bound for values in (labels, edges))
 
 
@@ -328,21 +330,22 @@ class TestAgainstReferenceChecker:
     @pytest.mark.parametrize("degrees", [(6, 5, 4, 3, 2), (2,) * 12])
     def test_corruption_in_one_sided_and_mixed_chunks(self, degrees):
         # Chunks whose children all lie above, or all below, their parents
-        # take the verifier's one-sided shortcut; chunks with children on
-        # both sides (across a level boundary, or where the first digit
-        # changes inside a level) take the abs route.
+        # take the verifier's masks; chunks with children on both sides
+        # (across a level boundary, or where the first digit changes inside
+        # a level) are checked record by record.
         shape = build_shape(degrees)
         records = list(label_all(shape))
         assignment = {r.vertex: r.label for r in records}
-        masked = {}
+        sides = {}
         # The first chunk holds the root, which has no parent label.
         for start in range(CHUNK, len(records), CHUNK):
             chunk = records[start:start + CHUNK]
-            if takes_masks(chunk):
-                masked.setdefault(chunk_side(chunk), chunk)
-        assert set(masked) == {"above", "below", "mixed"}
+            sides.setdefault(chunk_side(chunk), chunk)
+        assert set(sides) == {"above", "below", "mixed"}
+        assert takes_masks(sides["above"]) and takes_masks(sides["below"])
+        assert not takes_masks(sides["mixed"])
         rng = random.Random(sum(degrees))
-        for side, chunk in masked.items():
+        for side, chunk in sides.items():
             for kind in CORRUPTIONS + ("mirrored",):
                 record = rng.choice(chunk)
                 corrupted = corrupt(assignment, record.vertex, kind, shape.edge_count, rng)
@@ -352,6 +355,34 @@ class TestAgainstReferenceChecker:
                 assert verify_with_weak_alpha(
                     shape, records_from_assignment(shape, corrupted)
                 ) == reference_reports(degrees, corrupted), (side, kind, record.vertex)
+
+    @pytest.mark.parametrize("degrees", [(6, 5, 4, 3, 2), (2,) * 12])
+    def test_mask_rules_mirror_the_verifier(self, degrees, monkeypatch):
+        # takes_masks restates the verifier's mask rules; a spy on
+        # _chunk_marks keeps the two from drifting apart.
+        calls = []
+        chunk_marks = verification._chunk_marks
+
+        def spy(bitmap, values, *bounds):
+            marks = chunk_marks(bitmap, values, *bounds)
+            calls.append((tuple(values), marks))
+            return marks
+
+        monkeypatch.setattr(verification, "_chunk_marks", spy)
+        shape = build_shape(degrees)
+        records = list(label_all(shape))
+        assert verify_with_weak_alpha(shape, records)[0].passed
+        # Each chunk asks for its vertex-label marks, and only when those
+        # come back for its edge-label marks.
+        masked = []
+        calls_left = iter(calls)
+        for labels, marks in calls_left:
+            if marks is not None and next(calls_left)[1] is not None:
+                masked.append(labels)
+        chunks = [records[start:start + CHUNK] for start in range(0, len(records), CHUNK)]
+        expected = [tuple(r.label for r in c) for c in chunks if takes_masks(c)]
+        assert masked == expected
+        assert 0 < len(masked) < len(chunks)
 
     @pytest.mark.parametrize("degrees", [(300,), (2, 253, 2)])
     def test_separator_ends_from_one_sided_chunks(self, degrees):
