@@ -5,8 +5,8 @@
 Exit status contract, stable for scripting: 0 success/pass, 1 verification
 failure, 2 usage or input error, 3 capacity overflow (including a shape
 whose verifier bitmaps do not fit in memory), 4 I/O failure, 5 internal
-error (a ConsistencyError, which is always a bug).  A reader that closes
-the output early (``| head``) ends the run quietly with 0.
+error (a ConsistencyError or LabellingStreamError, always a bug).  A
+reader that closes the output early (``| head``) ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from itertools import islice
 from operator import add, sub
 
 from .errors import (
@@ -26,10 +25,11 @@ from .errors import (
     DegreeSequenceError,
     InvalidVertexError,
     LabelRangeError,
+    LabellingStreamError,
     SearchCapError,
 )
 from .inverse import DecodeState, invert_label, trace_inversion
-from .labelling import BLOCK, label_all, records_from_assignment
+from .labelling import label_all, level_runs, records_from_assignment
 from .shape import TreeShape, build_shape, format_vertex, parse_degree_sequence
 from .verification import (
     auxiliary_bitmap_bytes,
@@ -70,34 +70,15 @@ def _print_counterexamples(report, limit: int = 10) -> None:
 
 
 def _runs(shape: TreeShape):
-    """Cut ``label_all(shape)`` after the root into runs of at most BLOCK
-    records of one level.
-
-    Yields ``(width, vertices, labels, parent_labels, edge_labels)``, the
-    run's records taken apart into fields, for the writers'
-    ``format_vertex(("%d",) * width)`` rows.
-    Raises ConsistencyError unless the stream is the root record
-    ``((), 0, None)``, then every level in full with parent labels, then nothing.
+    """Yield ``(width, vertices, labels, parent_labels, edge_labels)`` for
+    each ``level_runs`` run of ``label_all(shape)`` after the root's, whose
+    label must be 0: the writers' headers print it.
     """
-    records = iter(label_all(shape))
-    if next(records, None) != ((), 0, None):
-        raise ConsistencyError("label stream does not start with the root record")
-    size = 1
-    for width, degree in enumerate(shape.degrees, start=1):
-        size *= degree
-        for left in range(size, 0, -BLOCK):
-            count = min(left, BLOCK)
-            run = list(islice(records, count))
-            if len(run) < count:
-                raise ConsistencyError(f"label stream ends inside level {width + 1}")
-            vertices, labels, parents = zip(*run)
-            if set(map(len, vertices)) != {width}:
-                raise ConsistencyError(f"label stream has a bad id length at level {width + 1}")
-            if None in parents:
-                raise ConsistencyError(f"label stream has no parent label at level {width + 1}")
-            yield width, vertices, labels, parents, map(abs, map(sub, labels, parents))
-    if next(records, None) is not None:
-        raise ConsistencyError(f"label stream runs past {shape.vertex_count} vertices")
+    runs = level_runs(shape, label_all(shape))
+    if next(runs)[2] != (0,):
+        raise LabellingStreamError("label stream does not start with the root record")
+    for width, vertices, labels, parents in runs:
+        yield width, vertices, labels, parents, map(abs, map(sub, labels, parents))
 
 
 def _write_table(shape: TreeShape, out) -> None:
@@ -231,21 +212,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
     shape = _shape_from(args)
     n = shape.vertex_count
-    is_path = all(k == 1 for k in shape.degrees)
-    ran_any = False
+    path_oracle = all(k == 1 for k in shape.degrees) and n <= PATH_ORACLE_MAX_VERTICES
+    if not path_oracle and n > args.cap:
+        print(
+            f"error: {n} vertices exceeds the search cap ({args.cap}) "
+            "and the shape is not a path of at most "
+            f"{PATH_ORACLE_MAX_VERTICES} vertices",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    closed = list(label_all(shape))
     failures = 0
-    if is_path and n <= PATH_ORACLE_MAX_VERTICES:
-        ran_any = True
-        closed = [rec.label for rec in label_all(shape)]
+    if path_oracle:
+        labels = [rec.label for rec in closed]
         zigzag = canonical_path_labelling(n)
-        if closed == zigzag:
+        if labels == zigzag:
             print(f"path oracle: exact match across {n} labels")
         else:
             failures += 1
-            print(f"path oracle: MISMATCH (closed form {closed}, zig-zag {zigzag})")
+            print(f"path oracle: MISMATCH (closed form {labels}, zig-zag {zigzag})")
     if n <= args.cap:
-        ran_any = True
-        report = verify_with_weak_alpha(shape, label_all(shape))[0]
+        report = verify_with_weak_alpha(shape, closed)[0]
         print(f"closed form: {'graceful' if report.passed else 'NOT graceful'}")
         if not report.passed:
             failures += 1
@@ -262,18 +249,10 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
                 failures += 1
                 print("search oracle: produced an invalid labelling")
                 _print_counterexamples(found_report)
-            elif all(found[rec.vertex] == rec.label for rec in label_all(shape)):
+            elif all(found[rec.vertex] == rec.label for rec in closed):
                 print("search oracle: found the same labelling")
             else:
                 print("search oracle: found a different valid labelling")
-    if not ran_any:
-        print(
-            f"error: {n} vertices exceeds the search cap ({args.cap}) "
-            "and the shape is not a path of at most "
-            f"{PATH_ORACLE_MAX_VERTICES} vertices",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
@@ -377,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ConsistencyError as exc:
+    except (ConsistencyError, LabellingStreamError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -22,7 +22,7 @@ class LabelRangeError(ValueError):
 
 
 class LabellingStreamError(ValueError):
-    """A labelling stream did not cover the tree exactly once."""
+    """A labelling stream did not cover the tree exactly once in canonical order."""
 
 
 class SearchCapError(ValueError):

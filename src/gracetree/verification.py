@@ -4,11 +4,11 @@ Nothing here trusts the closed form or the stream: one pass of
 ``verify_with_weak_alpha`` over a record stream checks gracefulness against
 two presence bitmaps, recomputing every edge label from its end labels,
 and takes the weak separator interval from per-edge extremes.  The stream
-is cut by count alone, since the closed form's consecutive records stay
-dense across level boundaries.  A chunk whose children all lie on one side
-of their parents is marked through integer masks from plain label
-differences; any other chunk, and one that could hold a fault, is checked
-record by record, so every label is still tested against the bitmaps.
+is read through ``level_runs``, which cuts it into runs of one level and
+checks its structure.  A run whose children all lie on one side of their
+parents is marked through integer masks from plain label differences; any
+other run, and one that could hold a fault, is checked record by record,
+so every label is still tested against the bitmaps.
 Paths have their own zig-zag oracle; small shapes can be searched exhaustively.
 """
 
@@ -16,21 +16,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import islice
 from operator import neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import CapacityError, LabellingStreamError, SearchCapError
-from .labelling import LabelledVertex, enumerate_vertices
+from .errors import CapacityError, SearchCapError
+from .labelling import LabelledVertex, enumerate_vertices, level_runs
 from .shape import TreeShape, VertexId
 
-# Most records checked through one mask.  A chunk of 256 records with
-# 20-digit vertex ids (about 70 KB) stays in cache; 1024 ran about 25%
-# slower on the 2,097,151-vertex binary tree.
-CHUNK = 256
-# A chunk is marked through one scratch mask only when its values span at
+# A run is marked through one scratch mask only when its values span at
 # most MASK_BITS_PER_VALUE bits per value, plus one value's worth, which
-# caps the mask's digit buffer near 16 KB at CHUNK = 256.  Sparser chunks
+# caps the mask's digit buffer near 16 KB at CHUNK = 256.  Sparser runs
 # (the shallow levels of deep trees) are checked record by record.
 MASK_BITS_PER_VALUE = 64
 ONE_DIGIT = ord("1")
@@ -88,7 +83,7 @@ def auxiliary_bitmap_bytes(shape: TreeShape) -> int:
 def _chunk_marks(
     bitmap: bytearray, values: Sequence[int], low: int, high: int, first: int, last: int
 ) -> tuple[int, int, int] | None:
-    """The bitmap bytes one chunk's values would set, or None to check per record.
+    """The bitmap bytes one run's values would set, or None to check per record.
 
     ``values`` (min ``low``, max ``high``) map to bits ``value - first``, in [first, last].
     Returns ``(start, stop, window)``: ``window`` is ``bitmap[start:stop]``
@@ -125,22 +120,22 @@ def verify_with_weak_alpha(
     Vertex labels must be pairwise distinct within [0, |E|] and the
     induced edge labels pairwise distinct within [1, |E|]; together that
     forces the edge labels to be exactly {1, ..., |E|}.  The stream must
-    cover every vertex exactly once, else LabellingStreamError.
+    cover every vertex once in canonical level order, else LabellingStreamError;
+    its parent labels are taken as given.
 
-    Records are checked a chunk at a time: the next CHUNK records of the
-    stream, wherever its level boundaries fall.  A chunk whose children all
-    lie above their parents (or all below) takes the label differences (or
-    their negations) as edge labels and the parent (or child) labels as
-    smaller ends; it is marked in the two presence bitmaps through one
-    integer mask each, and its separator ends are max(smaller ends) and
-    min(larger ends).  Any other chunk, or one that lacks a parent label, is
-    out of range, repeats or overlaps labels, or is too sparse for a bounded
-    mask, is checked record by record, naming counterexamples in stream order.
+    Records are checked a run at a time, as ``level_runs`` cuts them.  A run
+    whose children all lie above their parents (or all below) takes the label
+    differences (or their negations) as edge labels and the parent (or child)
+    labels as smaller ends; it is marked in the two presence bitmaps through
+    one integer mask each, and its separator ends are max(smaller ends) and
+    min(larger ends).  The root's run, and any run that is out of range,
+    repeats or overlaps labels, or is too sparse for a bounded mask, is
+    checked record by record, naming counterexamples in stream order.
 
     The weak-separator report is None when verification fails; its
     feasible interval is the intersection of the per-edge [min, max]
     intervals.  Memory is two bitmaps (vertex labels 0..|E|, edge labels
-    1..|E|) plus per-chunk scratch bounded by CHUNK and
+    1..|E|) plus per-run scratch bounded by CHUNK and
     MASK_BITS_PER_VALUE, so multi-million-vertex streams are fine.  CapacityError
     is raised before allocating bitmaps larger than physical memory.
     """
@@ -151,24 +146,16 @@ def verify_with_weak_alpha(
         physical = 0
     if 0 < physical < needed:  # such bitmaps would be zero-filled page by page
         raise CapacityError(f"bitmaps of {needed} bytes exceed the {physical} bytes of memory")
-    expected = shape.vertex_count
     edge_count = shape.edge_count
     vertex_bits = bytearray((edge_count + 8) // 8)
     edge_bits = bytearray((edge_count + 7) // 8)
     counterexamples: list[Counterexample] = []
     distinct = in_range = complete = True
-    count = 0
-    edges_seen = 0
     lo = 0  # max over edges of min(end labels)
     hi: int | None = None  # min over edges of max(end labels)
-    stream = iter(records)
-    while chunk := list(islice(stream, CHUNK)):
-        count += len(chunk)
-        if count > expected:
-            raise LabellingStreamError(f"stream longer than {expected} vertices")
-        _, labels, parent_labels = zip(*chunk)
+    for width, vertices, labels, parent_labels in level_runs(shape, records):
         edges = None
-        if None not in parent_labels:
+        if width:
             diffs = list(map(sub, labels, parent_labels))
             low, high = min(diffs), max(diffs)
             if low > 0:  # every child above its parent: parents are the smaller ends
@@ -176,7 +163,7 @@ def verify_with_weak_alpha(
             elif high < 0:  # every child below its parent: children are the smaller ends
                 edges, smaller, larger = list(map(neg, diffs)), labels, parent_labels
                 low, high = -high, -low
-        # A chunk with children on both sides, or with a zero edge, keeps
+        # A run with children on both sides, or with a zero edge, keeps
         # edges None and is checked record by record.
         vertex_marks = edges and _chunk_marks(
             vertex_bits, labels, min(labels), max(labels), 0, edge_count
@@ -188,14 +175,13 @@ def verify_with_weak_alpha(
                 (edge_bits, edge_marks),
             ):
                 bitmap[start:stop] = window.to_bytes(stop - start, "little")
-            edges_seen += len(labels)
             small, large = max(smaller), min(larger)
             if small > lo:
                 lo = small
             if hi is None or large < hi:
                 hi = large
             continue
-        for vertex, label, parent_label in chunk:
+        for vertex, label, parent_label in zip(vertices, labels, parent_labels):
             if 0 <= label <= edge_count:
                 byte, bit = divmod(label, 8)
                 mask = 1 << bit
@@ -213,7 +199,6 @@ def verify_with_weak_alpha(
                 )
             if parent_label is None:
                 continue
-            edges_seen += 1
             induced = abs(label - parent_label)
             if 1 <= induced <= edge_count:
                 byte, bit = divmod(induced - 1, 8)
@@ -238,12 +223,6 @@ def verify_with_weak_alpha(
                 lo = small
             if hi is None or large < hi:
                 hi = large
-    if count != expected:
-        raise LabellingStreamError(
-            f"stream covered {count} vertices, expected {expected}"
-        )
-    if edges_seen != edge_count:
-        complete = False
     report = VerificationReport(distinct, in_range, complete, tuple(counterexamples))
     if not report.passed:
         return report, None

@@ -6,12 +6,13 @@ import csv
 import io
 import json
 from collections import deque
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 
 from hypothesis import strategies as st
 
 from gracetree import (
     Counterexample,
+    LabelledVertex,
     TreeShape,
     VerificationReport,
     WeaklyAlphaReport,
@@ -138,6 +139,61 @@ def reference_reports(degrees, assignment):
     lo, hi = max(smaller_ends), min(larger_ends)
     claimed = subtree_size_by_products(degrees, 2) if degrees[0] == 2 else None
     return report, WeaklyAlphaReport((lo, hi) if lo <= hi else None, claimed, lo < hi)
+
+
+# Faulty record streams for (2,3,4), each a stand-in for label_all.  The
+# first is a closed form whose root is mislabelled, which the verifier
+# reports; the others break the stream's structure, as the messages in
+# STREAM_FAULTS say.
+
+
+def _wrong_root(shape):
+    records = label_all(shape)
+    next(records)
+    return chain([LabelledVertex((), 1, None)], records)
+
+
+def _drop_root(shape):
+    return islice(label_all(shape), 1, None)
+
+
+def _root_with_parent_label(shape):
+    return chain([LabelledVertex((), 0, 0)], islice(label_all(shape), 1, None))
+
+
+def _short(shape):
+    return islice(label_all(shape), shape.vertex_count - 1)
+
+
+def _long(shape):
+    deepest = tuple(k - 1 for k in shape.degrees)
+    return chain(label_all(shape), [LabelledVertex(deepest, 0, 0)])
+
+
+def _wrong_length(shape):
+    # A level-3 vertex id in the middle of level 4.
+    records = list(label_all(shape))
+    vertex, label, parent_label = records[-5]
+    records[-5] = LabelledVertex(vertex[:-1], label, parent_label)
+    return iter(records)
+
+
+def _no_parent_label(shape):
+    # The sixth record of (2,3,4) lies on level 3.
+    records = list(label_all(shape))
+    vertex, label, _ = records[5]
+    records[5] = LabelledVertex(vertex, label, None)
+    return iter(records)
+
+
+STREAM_FAULTS = [
+    (_drop_root, "does not start with the root record"),
+    (_root_with_parent_label, "does not start with the root record"),
+    (_short, "ends inside level 4"),
+    (_long, "runs past 33 vertices"),
+    (_wrong_length, "bad id length at level 4"),
+    (_no_parent_label, "no parent label at level 3"),
+]
 
 
 # Record-at-a-time ``label`` writers: one Python body and one write per

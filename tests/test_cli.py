@@ -7,24 +7,33 @@ import os
 import re
 import subprocess
 import sys
-from itertools import chain, islice
 
 import pytest
 
 import gracetree
 from gracetree import (
-    LabelledVertex,
     brute_force_graceful,
     build_shape,
     enumerate_vertices,
     label_all,
     records_from_assignment,
 )
-from gracetree import cli, labelling, verification
+from gracetree import cli, errors, labelling, verification
 from gracetree.cli import main
-from helpers import EXAMPLE_LABELS, reference_export, sweep_degree_sequences
+from helpers import (
+    EXAMPLE_LABELS,
+    STREAM_FAULTS,
+    _wrong_root,
+    reference_export,
+    sweep_degree_sequences,
+)
 
 FORMATS = ["csv", "json", "dot", "table"]
+ERROR_CLASSES = [
+    value
+    for value in vars(errors).values()
+    if isinstance(value, type) and value.__module__ == errors.__name__
+]
 # Levels longer than one run of the writers, levels that end mid-run, and
 # child indices of several digits.
 RUN_EDGE_SHAPES = [
@@ -202,55 +211,13 @@ class TestLabelOutput:
         ]
 
 
-def _drop_root(shape):
-    return islice(label_all(shape), 1, None)
-
-
-def _wrong_root(shape):
-    records = label_all(shape)
-    next(records)
-    return chain([LabelledVertex((), 1, None)], records)
-
-
-def _short(shape):
-    return islice(label_all(shape), shape.vertex_count - 1)
-
-
-def _long(shape):
-    deepest = tuple(k - 1 for k in shape.degrees)
-    return chain(label_all(shape), [LabelledVertex(deepest, 0, 0)])
-
-
-def _wrong_length(shape):
-    # A level-3 vertex id in the middle of level 4.
-    records = list(label_all(shape))
-    vertex, label, parent_label = records[-5]
-    records[-5] = LabelledVertex(vertex[:-1], label, parent_label)
-    return iter(records)
-
-
-def _no_parent_label(shape):
-    # The sixth record of (2,3,4) lies on level 3.
-    records = list(label_all(shape))
-    vertex, label, _ = records[5]
-    records[5] = LabelledVertex(vertex, label, None)
-    return iter(records)
-
-
 class TestLabelStreamGuard:
     """A faulty record stream ends in exit 5 with an internal error."""
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize(
         "stream, message",
-        [
-            (_drop_root, "does not start with the root record"),
-            (_wrong_root, "does not start with the root record"),
-            (_short, "ends inside level 4"),
-            (_long, "runs past 33 vertices"),
-            (_wrong_length, "bad id length at level 4"),
-            (_no_parent_label, "no parent label at level 3"),
-        ],
+        [(_wrong_root, "does not start with the root record")] + STREAM_FAULTS,
     )
     def test_fault(self, capsys, monkeypatch, fmt, stream, message):
         monkeypatch.setattr(cli, "label_all", stream)
@@ -259,6 +226,25 @@ class TestLabelStreamGuard:
         assert err.startswith("internal error: label stream ")
         assert message in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("stream, message", STREAM_FAULTS)
+    def test_verify_fault(self, capsys, monkeypatch, stream, message):
+        monkeypatch.setattr(cli, "label_all", stream)
+        code, out, err = run(capsys, "verify", "2,3,4")
+        assert code == 5
+        assert err.startswith("internal error: label stream ")
+        assert message in err
+        assert len(err.splitlines()) == 1
+        assert "result:" not in out
+
+    def test_verify_wrong_root_label_fails(self, capsys, monkeypatch):
+        # The root record is well formed; its label is the verifier's to judge.
+        monkeypatch.setattr(cli, "label_all", _wrong_root)
+        code, out, err = run(capsys, "verify", "2,3,4")
+        assert code == 1
+        assert "result: FAIL" in out
+        assert "  counterexample: duplicate vertex label at (0,0), value 1\n" in out
+        assert err == ""
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_root_only_tree_runs_past(self, capsys, monkeypatch, fmt):
@@ -435,6 +421,19 @@ class TestExitStatuses:
         assert code == 3
         assert err == "error: bitmaps of 32768 bytes exceed the 16384 bytes of memory\n"
         assert "result:" not in out
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda error: error.__name__)
+    def test_every_package_error_has_a_status(self, capsys, monkeypatch, error):
+        # Whatever a command raises from gracetree.errors ends in a status
+        # from 1 to 5 and one line on stderr, never in a traceback.
+        def fail(args):
+            raise error("injected fault")
+
+        monkeypatch.setattr(cli, "cmd_invert", fail)
+        code, _, err = run(capsys, "invert", "2,3,4", "10")
+        assert 1 <= code <= 5
+        assert err.endswith(": injected fault\n")
+        assert len(err.splitlines()) == 1
 
     def test_io_failure(self, capsys, tmp_path):
         missing = tmp_path / "no-such-dir" / "x.csv"

@@ -17,6 +17,7 @@ from gracetree import (
     label_vertex,
     records_from_assignment,
 )
+from gracetree.labelling import CHUNK, level_runs
 from helpers import (
     EXAMPLE_DEGREES,
     EXAMPLE_LABELS,
@@ -176,6 +177,22 @@ class TestLabelBlocks:
             records = list(label_all(shape))
             assert records == expanded, degrees
             assert all(type(r) is LabelledVertex for r in records), degrees
+
+
+class TestLevelRuns:
+    @pytest.mark.parametrize("degrees", [(5000, 3), (3, 5000), (1,) * 60, (2, 3, 4)])
+    def test_partition(self, degrees):
+        # The root's run comes first, every other run holds at most CHUNK
+        # records of one level, and the runs concatenate to label_all.
+        shape = build_shape(degrees)
+        runs = list(level_runs(shape, label_all(shape)))
+        assert runs[0] == (0, ((),), (0,), (None,))
+        for width, vertices, labels, parent_labels in runs[1:]:
+            assert 1 <= len(vertices) <= CHUNK
+            assert {len(vertex) for vertex in vertices} == {width}
+            assert len(labels) == len(parent_labels) == len(vertices)
+        records = chain.from_iterable(zip(*run[1:]) for run in runs)
+        assert list(records) == list(label_all(shape))
 
 
 class TestRecordsFromAssignment:

@@ -2,7 +2,8 @@
 
 import os
 import random
-from itertools import product
+from itertools import accumulate, product
+from operator import sub
 
 import pytest
 
@@ -20,8 +21,14 @@ from gracetree import (
     verify_with_weak_alpha,
 )
 from gracetree import verification
-from gracetree.verification import CHUNK, MASK_BITS_PER_VALUE
-from helpers import degree_sequences_up_to, reference_reports, sweep_degree_sequences
+from gracetree.labelling import level_runs
+from gracetree.verification import MASK_BITS_PER_VALUE
+from helpers import (
+    STREAM_FAULTS,
+    degree_sequences_up_to,
+    reference_reports,
+    sweep_degree_sequences,
+)
 
 
 class TestVerifyGraceful:
@@ -75,6 +82,12 @@ class TestVerifyGraceful:
         records = list(label_all(shape))
         with pytest.raises(LabellingStreamError):
             verify_with_weak_alpha(shape, records + records[-1:])
+
+    @pytest.mark.parametrize("stream, message", STREAM_FAULTS)
+    def test_faulty_stream_rejected(self, stream, message):
+        shape = build_shape((2, 3, 4))
+        with pytest.raises(LabellingStreamError, match=message):
+            verify_with_weak_alpha(shape, stream(shape))
 
     def test_sweep_passes(self):
         for degrees in sweep_degree_sequences():
@@ -229,24 +242,29 @@ def corrupt(assignment, vertex, kind, edge_count, rng):
 CORRUPTIONS = ("duplicate", "out of range", "negative", "swapped")
 
 
-def takes_masks(chunk):
-    """Whether the verifier marks a fault-free chunk through its masks.
+def runs_of(shape):
+    """The runs level_runs cuts from the closed form's stream."""
+    return list(level_runs(shape, label_all(shape)))
 
-    A chunk holding the root, one with children on both sides of their
-    parents or a zero edge, or one whose labels or edge labels are too
-    sparse for a bounded mask, is checked record by record instead.
+
+def takes_masks(run):
+    """Whether the verifier marks a fault-free run through its masks.
+
+    The root's run, one with children on both sides of their parents or a
+    zero edge, or one whose labels or edge labels are too sparse for a
+    bounded mask, is checked record by record instead.
     """
-    if any(r.parent_label is None for r in chunk) or chunk_side(chunk) == "mixed":
+    width, _, labels, parent_labels = run
+    if not width or chunk_side(run) == "mixed":
         return False
-    labels = [r.label for r in chunk]
-    edges = [abs(r.label - r.parent_label) for r in chunk]
-    bound = MASK_BITS_PER_VALUE * (len(chunk) + 1)
+    edges = list(map(abs, map(sub, labels, parent_labels)))
+    bound = MASK_BITS_PER_VALUE * (len(labels) + 1)
     return all(max(values) - min(values) < bound for values in (labels, edges))
 
 
-def chunk_side(chunk):
-    """Where a root-free chunk's children lie: all above, all below, or mixed."""
-    diffs = [r.label - r.parent_label for r in chunk]
+def chunk_side(run):
+    """Where a non-root run's children lie: all above, all below, or mixed."""
+    diffs = list(map(sub, run[2], run[3]))
     if min(diffs) > 0:
         return "above"
     if max(diffs) < 0:
@@ -281,17 +299,13 @@ class TestAgainstReferenceChecker:
                 ), (degrees, kind, vertex)
 
     def test_corruption_on_every_level_of_a_deep_tree(self):
-        # The chunk holding the root of (2,)*12 goes record by record; the
-        # later CHUNK-record cuts of the stream are marked through masks.
+        # The root's run and the sparse shallow levels of (2,)*12 go record
+        # by record; the runs of the wide levels are marked through masks.
         degrees = (2,) * 12
         shape = build_shape(degrees)
-        records = list(label_all(shape))
-        masked = [
-            takes_masks(records[start:start + CHUNK])
-            for start in range(0, len(records), CHUNK)
-        ]
+        masked = list(map(takes_masks, runs_of(shape)))
         assert any(masked) and not all(masked)
-        assignment = {r.vertex: r.label for r in records}
+        assignment = {r.vertex: r.label for r in label_all(shape)}
         rng = random.Random(12)
         for width in range(1, len(degrees) + 1):
             level = list(product(range(2), repeat=width))
@@ -305,19 +319,21 @@ class TestAgainstReferenceChecker:
 
     @pytest.mark.parametrize("degrees", [(6, 5, 4, 3, 2), (3,) * 7])
     def test_corruption_beside_every_chunk_cut(self, degrees):
-        # Cuts every CHUNK records fall inside levels and, here, also
-        # inside dense runs that cross a level boundary.
+        # The runs are cut at every level boundary and, in levels wider
+        # than CHUNK, inside the level.
         shape = build_shape(degrees)
         records = list(label_all(shape))
         assignment = {r.vertex: r.label for r in records}
         assert verify_with_weak_alpha(shape, records) == (
             reference_reports(degrees, assignment)
         )
-        chunks = [records[start:start + CHUNK] for start in range(0, len(records), CHUNK)]
-        crossing = [c for c in chunks if len(c[0].vertex) != len(c[-1].vertex)]
-        assert any(map(takes_masks, crossing))
+        runs = runs_of(shape)
+        assert any(map(takes_masks, runs))
+        cuts = list(accumulate(len(run[1]) for run in runs))[:-1]
+        inside = [len(records[cut - 1].vertex) == len(records[cut].vertex) for cut in cuts]
+        assert any(inside) and not all(inside)
         rng = random.Random(len(records))
-        for cut in range(CHUNK, len(records), CHUNK):
+        for cut in cuts:
             for record in records[cut - 1:cut + 1]:
                 for kind in CORRUPTIONS:
                     corrupted = corrupt(
@@ -329,32 +345,31 @@ class TestAgainstReferenceChecker:
 
     @pytest.mark.parametrize("degrees", [(6, 5, 4, 3, 2), (2,) * 12])
     def test_corruption_in_one_sided_and_mixed_chunks(self, degrees):
-        # Chunks whose children all lie above, or all below, their parents
-        # take the verifier's masks; chunks with children on both sides
-        # (across a level boundary, or where the first digit changes inside
-        # a level) are checked record by record.
+        # Runs whose children all lie above, or all below, their parents
+        # take the verifier's masks; runs with children on both sides
+        # (where the first digit changes inside a level) are checked record
+        # by record.
         shape = build_shape(degrees)
-        records = list(label_all(shape))
-        assignment = {r.vertex: r.label for r in records}
+        assignment = {r.vertex: r.label for r in label_all(shape)}
         sides = {}
-        # The first chunk holds the root, which has no parent label.
-        for start in range(CHUNK, len(records), CHUNK):
-            chunk = records[start:start + CHUNK]
-            sides.setdefault(chunk_side(chunk), chunk)
+        # The first run is the root's, which has no parent label.
+        for run in runs_of(shape)[1:]:
+            side = chunk_side(run)
+            if side == "mixed" or takes_masks(run):
+                sides.setdefault(side, run)
         assert set(sides) == {"above", "below", "mixed"}
-        assert takes_masks(sides["above"]) and takes_masks(sides["below"])
         assert not takes_masks(sides["mixed"])
         rng = random.Random(sum(degrees))
-        for side, chunk in sides.items():
+        for side, (width, vertices, _, parent_labels) in sides.items():
             for kind in CORRUPTIONS + ("mirrored",):
-                record = rng.choice(chunk)
-                corrupted = corrupt(assignment, record.vertex, kind, shape.edge_count, rng)
+                vertex = rng.choice(vertices)
+                corrupted = corrupt(assignment, vertex, kind, shape.edge_count, rng)
                 if kind == "mirrored":
-                    moved = [r._replace(label=corrupted[r.vertex]) for r in chunk]
-                    assert chunk_side(moved) == "mixed", side
+                    moved = [corrupted[v] for v in vertices]
+                    assert chunk_side((width, vertices, moved, parent_labels)) == "mixed", side
                 assert verify_with_weak_alpha(
                     shape, records_from_assignment(shape, corrupted)
-                ) == reference_reports(degrees, corrupted), (side, kind, record.vertex)
+                ) == reference_reports(degrees, corrupted), (side, kind, vertex)
 
     @pytest.mark.parametrize("degrees", [(6, 5, 4, 3, 2), (2,) * 12])
     def test_mask_rules_mirror_the_verifier(self, degrees, monkeypatch):
@@ -372,25 +387,24 @@ class TestAgainstReferenceChecker:
         shape = build_shape(degrees)
         records = list(label_all(shape))
         assert verify_with_weak_alpha(shape, records)[0].passed
-        # Each chunk asks for its vertex-label marks, and only when those
+        # Each run asks for its vertex-label marks, and only when those
         # come back for its edge-label marks.
         masked = []
         calls_left = iter(calls)
         for labels, marks in calls_left:
             if marks is not None and next(calls_left)[1] is not None:
                 masked.append(labels)
-        chunks = [records[start:start + CHUNK] for start in range(0, len(records), CHUNK)]
-        expected = [tuple(r.label for r in c) for c in chunks if takes_masks(c)]
-        assert masked == expected
-        assert 0 < len(masked) < len(chunks)
+        runs = runs_of(shape)
+        assert masked == [labels for _, _, labels, _ in filter(takes_masks, runs)]
+        assert 0 < len(masked) < len(runs)
 
     @pytest.mark.parametrize("degrees", [(300,), (2, 253, 2)])
     def test_separator_ends_from_one_sided_chunks(self, degrees):
-        # Edges that bound the separator interval lie in one-sided chunks
-        # past the root's: in (2, 253, 2) records 256..511 hold every child
-        # of vertex (1), whose label h_2 is the interval, and the first
-        # children of level 4, whose parents' labels are smaller.
-        # E - label is graceful too, with every child on the other side.
+        # Edges that bound the separator interval lie in one-sided runs
+        # past the root's: both ends in (300,), and in (2, 253, 2) the
+        # smaller end in the run of children (1,3)..(1,252) of vertex (1),
+        # whose label h_2 is the interval.  E - label is graceful too, with
+        # every child on the other side.
         shape = build_shape(degrees)
         assignment = {r.vertex: r.label for r in label_all(shape)}
         mirrored = {v: shape.edge_count - label for v, label in assignment.items()}
