@@ -17,7 +17,8 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from operator import add, sub
+from itertools import groupby, repeat
+from operator import add, itemgetter, sub
 
 from .errors import (
     CapacityError,
@@ -133,7 +134,12 @@ def _write_dot(shape: TreeShape, out) -> None:
     for width, vertices, labels, parents, edges in _runs(shape):
         name, parent = format_vertex(("%d",) * width), format_vertex(("%d",) * (width - 1))
         names = list(map(name.__mod__, vertices))
-        parent_names = [parent % vertex[:-1] for vertex in vertices]
+        # Consecutive siblings share a parent, named once per group.
+        parent_names = [
+            parent_name
+            for key, siblings in groupby(vertices, itemgetter(slice(-1)))
+            for parent_name in repeat(parent % key, len(list(siblings)))
+        ]
         row = '  "%s" [label="%d"];\n  "%s" -> "%s" [label="%d"];\n'
         out.write("".join(map(row.__mod__, zip(names, labels, parent_names, names, edges))))
     out.write("}\n")

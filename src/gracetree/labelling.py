@@ -64,8 +64,13 @@ class Block(NamedTuple):
     parent_labels: list[int] | None
 
     def vertices(self) -> Iterator[VertexId]:
-        """The block's vertex ids, built only when asked for."""
-        return map(add, repeat(self.prefix), product(*self.ranges))
+        """The block's vertex ids, built only when asked for.
+
+        Each id is one tuple from ``itertools.product``, which takes every
+        prefix digit from a one-value tuple, so no prefix is concatenated
+        to a suffix per vertex.
+        """
+        return product(*zip(self.prefix), *self.ranges)
 
 
 def label_vertex(shape: TreeShape, vertex: VertexId) -> int:

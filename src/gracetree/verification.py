@@ -6,9 +6,10 @@ two presence bitmaps, recomputing every edge label from its end labels,
 and takes the weak separator interval from per-edge extremes.  The stream
 is read through ``level_runs``, which cuts it into runs of one level and
 checks its structure.  A run whose children all lie on one side of their
-parents is marked through integer masks from plain label differences; any
-other run, and one that could hold a fault, is checked record by record,
-so every label is still tested against the bitmaps.
+parents is marked through two integer masks, whose digits one loop builds
+from its labels and signed label differences; any other run, and one that
+could hold a fault, is checked record by record, so every label is still
+tested against the bitmaps.
 Paths have their own zig-zag oracle; small shapes can be searched exhaustively.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from operator import neg, sub
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError, SearchCapError
@@ -80,33 +81,78 @@ def auxiliary_bitmap_bytes(shape: TreeShape) -> int:
     return (e + 8) // 8 + (e + 7) // 8
 
 
-def _chunk_marks(
-    bitmap: bytearray, values: Sequence[int], low: int, high: int, first: int, last: int
-) -> tuple[int, int, int] | None:
-    """The bitmap bytes one run's values would set, or None to check per record.
+def _mark_run(
+    vertex_bits: bytearray,
+    edge_bits: bytearray,
+    edge_count: int,
+    labels: Sequence[int],
+    parent_labels: Sequence[int],
+) -> tuple[int, int] | None:
+    """Mark a run's labels and edge labels in both bitmaps, one mask each.
 
-    ``values`` (min ``low``, max ``high``) map to bits ``value - first``, in [first, last].
-    Returns ``(start, stop, window)``: ``window`` is ``bitmap[start:stop]``
-    read as a little-endian integer with the values' bits added.  None when
-    a value is out of range, repeats, is already marked, or the values are
-    too sparse for a mask of bounded size; the bitmap is never written.
+    Only a run whose children all lie above their parents, or all below, is
+    marked; its separator ends ``(max(smaller ends), min(larger ends))`` are
+    returned.  None, with neither bitmap written, when the children lie on
+    both sides or a zero edge occurs, or when labels or edge labels are out
+    of range, repeat, are already marked or are too sparse for a bounded
+    mask: the caller then checks the run record by record.
     """
-    span = high - low + 1
-    if low < first or high > last:
+    diffs = list(map(sub, labels, parent_labels))
+    diff_low, diff_high = min(diffs), max(diffs)
+    if diff_low > 0:  # every child above: edge labels are the diffs
+        edge_low, edge_high = diff_low, diff_high
+    elif diff_high < 0:  # every child below: edge labels are the negated diffs
+        edge_low, edge_high = -diff_high, -diff_low
+    else:
         return None
-    if span > MASK_BITS_PER_VALUE * (len(values) + 1):
+    low, high = min(labels), max(labels)
+    bound = MASK_BITS_PER_VALUE * (len(labels) + 1)
+    if low < 0 or high > edge_count or edge_high > edge_count:
         return None
-    # Base-2 digits, most significant first: the digit at high - v is bit
-    # v - low of the mask.  int() reads power-of-two bases in linear time.
-    digits = bytearray(b"0") * span
-    for value in values:
-        digits[high - value] = ONE_DIGIT
-    if digits.count(ONE_DIGIT) != len(values):
+    if high - low >= bound or edge_high - edge_low >= bound:
         return None
-    start = (low - first) // 8
-    stop = (high - first) // 8 + 1
+    # Base-2 digits, most significant first: the digit at high - label is
+    # bit label - low of the vertex mask.  The digit at diff_high - diff is
+    # bit diff - edge_low of the edge mask on above runs; on below runs,
+    # whose edge labels are -diff, that index is the bit number itself, so
+    # those digits are least significant first and are turned round.
+    label_digits = bytearray(b"0") * (high - low + 1)
+    edge_digits = bytearray(b"0") * (edge_high - edge_low + 1)
+    for label, diff in zip(labels, diffs):
+        label_digits[high - label] = ONE_DIGIT
+        edge_digits[diff_high - diff] = ONE_DIGIT
+    if diff_high < 0:
+        edge_digits.reverse()
+    vertex_marks = _mask_window(vertex_bits, label_digits, len(labels), low)
+    edge_marks = vertex_marks and _mask_window(edge_bits, edge_digits, len(labels), edge_low - 1)
+    if not edge_marks:
+        return None
+    for bitmap, (start, stop, window) in ((vertex_bits, vertex_marks), (edge_bits, edge_marks)):
+        bitmap[start:stop] = window.to_bytes(stop - start, "little")
+    # Above, the children's labels are the larger ends; below, the smaller.
+    if diff_low > 0:
+        return max(parent_labels), low
+    return high, min(parent_labels)
+
+
+def _mask_window(
+    bitmap: bytearray, digits: bytearray, count: int, offset: int
+) -> tuple[int, int, int] | None:
+    """The bitmap bytes a mask of ``count`` values would set, or None.
+
+    ``digits`` are the mask's base-2 digits, most significant first, whose
+    lowest bit is bit ``offset`` of ``bitmap``.  Returns ``(start, stop,
+    window)``: ``window`` is ``bitmap[start:stop]`` read as a little-endian
+    integer with the mask's bits added.  None when fewer than ``count``
+    digits are set (a value repeats) or a bit is already marked.
+    """
+    if digits.count(ONE_DIGIT) != count:
+        return None
+    start = offset // 8
+    stop = (offset + len(digits) - 1) // 8 + 1
     window = int.from_bytes(bitmap[start:stop], "little")
-    mask = int(digits, 2) << (low - first - 8 * start)
+    # int() reads power-of-two bases in linear time.
+    mask = int(digits, 2) << (offset - 8 * start)
     if window & mask:
         return None
     return start, stop, window | mask
@@ -125,12 +171,14 @@ def verify_with_weak_alpha(
 
     Records are checked a run at a time, as ``level_runs`` cuts them.  A run
     whose children all lie above their parents (or all below) takes the label
-    differences (or their negations) as edge labels and the parent (or child)
-    labels as smaller ends; it is marked in the two presence bitmaps through
-    one integer mask each, and its separator ends are max(smaller ends) and
-    min(larger ends).  The root's run, and any run that is out of range,
-    repeats or overlaps labels, or is too sparse for a bounded mask, is
-    checked record by record, naming counterexamples in stream order.
+    differences (or their negations) as edge labels; one loop over its labels
+    and differences builds the digits of one integer mask per presence
+    bitmap.  Its separator ends are max(parent labels) and the labels'
+    minimum above, or the labels' maximum and min(parent labels) below; the
+    label extremes are the ones that already place the vertex mask.  The
+    root's run, and any run that is out of range, repeats or overlaps
+    labels, or is too sparse for a bounded mask, is checked record by
+    record, naming counterexamples in stream order.
 
     The weak-separator report is None when verification fails; its
     feasible interval is the intersection of the per-edge [min, max]
@@ -154,28 +202,10 @@ def verify_with_weak_alpha(
     lo = 0  # max over edges of min(end labels)
     hi: int | None = None  # min over edges of max(end labels)
     for width, vertices, labels, parent_labels in level_runs(shape, records):
-        edges = None
-        if width:
-            diffs = list(map(sub, labels, parent_labels))
-            low, high = min(diffs), max(diffs)
-            if low > 0:  # every child above its parent: parents are the smaller ends
-                edges, smaller, larger = diffs, parent_labels, labels
-            elif high < 0:  # every child below its parent: children are the smaller ends
-                edges, smaller, larger = list(map(neg, diffs)), labels, parent_labels
-                low, high = -high, -low
-        # A run with children on both sides, or with a zero edge, keeps
-        # edges None and is checked record by record.
-        vertex_marks = edges and _chunk_marks(
-            vertex_bits, labels, min(labels), max(labels), 0, edge_count
-        )
-        edge_marks = vertex_marks and _chunk_marks(edge_bits, edges, low, high, 1, edge_count)
-        if edge_marks:
-            for bitmap, (start, stop, window) in (
-                (vertex_bits, vertex_marks),
-                (edge_bits, edge_marks),
-            ):
-                bitmap[start:stop] = window.to_bytes(stop - start, "little")
-            small, large = max(smaller), min(larger)
+        # The root's run has no parent labels and goes record by record.
+        ends = width and _mark_run(vertex_bits, edge_bits, edge_count, labels, parent_labels)
+        if ends:
+            small, large = ends
             if small > lo:
                 lo = small
             if hi is None or large < hi:

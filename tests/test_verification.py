@@ -374,26 +374,22 @@ class TestAgainstReferenceChecker:
     @pytest.mark.parametrize("degrees", [(6, 5, 4, 3, 2), (2,) * 12])
     def test_mask_rules_mirror_the_verifier(self, degrees, monkeypatch):
         # takes_masks restates the verifier's mask rules; a spy on
-        # _chunk_marks keeps the two from drifting apart.
+        # _mark_run keeps the two from drifting apart.
         calls = []
-        chunk_marks = verification._chunk_marks
+        mark_run = verification._mark_run
 
-        def spy(bitmap, values, *bounds):
-            marks = chunk_marks(bitmap, values, *bounds)
-            calls.append((tuple(values), marks))
-            return marks
+        def spy(vertex_bits, edge_bits, edge_count, labels, parent_labels):
+            ends = mark_run(vertex_bits, edge_bits, edge_count, labels, parent_labels)
+            calls.append((labels, ends))
+            return ends
 
-        monkeypatch.setattr(verification, "_chunk_marks", spy)
+        monkeypatch.setattr(verification, "_mark_run", spy)
         shape = build_shape(degrees)
         records = list(label_all(shape))
         assert verify_with_weak_alpha(shape, records)[0].passed
-        # Each run asks for its vertex-label marks, and only when those
-        # come back for its edge-label marks.
-        masked = []
-        calls_left = iter(calls)
-        for labels, marks in calls_left:
-            if marks is not None and next(calls_left)[1] is not None:
-                masked.append(labels)
+        # A run is marked through the masks when _mark_run returns its
+        # separator ends.
+        masked = [labels for labels, ends in calls if ends is not None]
         runs = runs_of(shape)
         assert masked == [labels for _, _, labels, _ in filter(takes_masks, runs)]
         assert 0 < len(masked) < len(runs)
