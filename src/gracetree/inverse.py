@@ -1,12 +1,17 @@
 """Decode a graceful label back to the unique vertex that carries it.
 
-The decoder runs two interleaved division chains over the subtree sizes.
-The even chain starts from edge_count - m and resolves even levels; the
-odd chain starts from m itself and resolves odd levels.  Levels are tested
+The decoder runs two interleaved division chains over the subtree sizes,
+which invert ``labelling.level_form``.  Even levels have sign -1, so the
+even chain starts from edge_count - m and resolves even levels; the odd
+chain starts from m itself and resolves odd levels.  Levels are tested
 in increasing order (2, 3, 4, ...), alternating chains, and the first zero
 remainder pins the vertex: the tested chain's digits are exactly its
 child-index sequence.  The scan always terminates by the deepest level,
 whose divisor is 1.
+
+The chains state the closed form a second time on purpose: they cost
+O(q) divisions per label, where matching m against each level's
+``level_form`` set would cost O(q^2).
 
 ``invert_label`` and ``trace_inversion`` share one decoding loop; the
 trace records one ``DecodeState(level, chain, digits, remainder)`` per

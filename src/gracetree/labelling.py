@@ -1,13 +1,14 @@
 """Closed-form graceful labels for rooted symmetric trees.
 
 The label of a vertex is pure arithmetic on its identifying child-index
-sequence (x_1, ..., x_{r-1}) and the subtree sizes h_i: the root gets 0,
-and a vertex at level r gets
+sequence (x_1, ..., x_{r-1}) and the subtree sizes h_i.  A vertex at
+level r gets
 
-    (k_1 - x_1)*h_2 - x_2*h_3 - ... - x_{r-1}*h_r - (r - 2)/2    r even
-    x_1*h_2 + x_2*h_3 + ... + x_{r-1}*h_r + (r - 1)/2            r odd
+    offset + sign * (x_1*h_2 + x_2*h_3 + ... + x_{r-1}*h_r)
 
-The divisions by 2 are exact for the matching parity of r.  Every edge
+where ``level_form`` gives offset (r - 1)/2 and sign +1 for odd r, and
+offset |E| - (r - 2)/2 and sign -1 for even r; the root, at level 1, gets
+0.  The divisions by 2 are exact for the matching parity of r.  Every edge
 then carries the absolute difference of its endpoint labels.  That this
 assignment is graceful is machine-checked by the verification module
 rather than taken on faith.
@@ -73,31 +74,29 @@ class Block(NamedTuple):
         return product(*zip(self.prefix), *self.ranges)
 
 
+def level_form(shape: TreeShape, level: int) -> tuple[int, int]:
+    """The ``(offset, sign)`` of level ``level``'s labels.
+
+    Level r labels its vertices ``offset + sign * dot``, where dot is the
+    weighted digit sum x_1*h_2 + ... + x_{r-1}*h_r.  This is the only
+    place that tells odd levels from even ones.
+    """
+    if level % 2:
+        return (level - 1) // 2, 1
+    return shape.edge_count - (level - 2) // 2, -1
+
+
 def label_vertex(shape: TreeShape, vertex: VertexId) -> int:
-    """Closed-form graceful label of one vertex, validated against the shape."""
-    level = validate_vertex(shape, vertex)
-    if level == 1:
-        return 0
-    sizes = shape.level_sizes
-    if level % 2 == 0:
-        # Head dominates the subtracted tail for every valid vertex; a
-        # negative difference would mean a bug, not a data error.
-        head = (shape.degrees[0] - vertex[0]) * sizes[1]
-        tail = (level - 2) // 2
-        for j in range(1, level - 1):
-            tail += vertex[j] * sizes[j + 1]
-        if tail > head:
-            raise ConsistencyError(
-                f"even-level tail {tail} exceeds head {head} at vertex {vertex}"
-            )
-        result = head - tail
-    else:
-        result = (level - 1) // 2
-        for j in range(level - 1):
-            result += vertex[j] * sizes[j + 1]
-    if result > shape.edge_count:
+    """Closed-form graceful label of one vertex, validated against the shape.
+
+    It is ``offset + sign * dot`` from the vertex's ``level_form``; a label
+    outside [0, |E|] would mean a bug, not a data error.
+    """
+    offset, sign = level_form(shape, validate_vertex(shape, vertex))
+    result = offset + sign * sum(map(mul, vertex, shape.level_sizes[1:]))
+    if not 0 <= result <= shape.edge_count:
         raise ConsistencyError(
-            f"label {result} for vertex {vertex} exceeds edge count {shape.edge_count}"
+            f"label {result} for vertex {vertex} outside [0, {shape.edge_count}]"
         )
     return result
 
@@ -123,20 +122,14 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
     yield Block((), (), [0], None)
     degrees = shape.degrees
     sizes = shape.level_sizes
-    edges = shape.edge_count
     for level in range(2, shape.levels + 1):
         width = level - 1
         weights = sizes[1:level]  # digit i multiplies h_{i+2}
         # The parent's weighted sum drops the child digit.
         parent_weights = weights[:-1] + (0,)
         radices = degrees[:width]
-        # Odd levels add the weighted digit sum to their base and even
-        # levels subtract it; parents sit on the other side.
-        half = (level - 1) // 2
-        if level % 2:
-            sign, base, parent_base = 1, half, edges - half + 1
-        else:
-            sign, base, parent_base = -1, edges - half, half
+        base, sign = level_form(shape, level)
+        parent_base, parent_sign = level_form(shape, level - 1)
         split, span = width - 1, 1
         while split > 0 and span * radices[split] <= BLOCK:
             span *= radices[split]
@@ -150,7 +143,7 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
             values = range(chunk if j == split else radices[j])
             dots = [d + sign * x * weights[j] for d in dots for x in values]
             parent_dots = [
-                d - sign * x * parent_weights[j] for d in parent_dots for x in values
+                d + parent_sign * x * parent_weights[j] for d in parent_dots for x in values
             ]
         # Each setting of the digits above the split digit is the shared
         # prefix of one run of chunks.
@@ -160,7 +153,7 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
                 last = min(first + chunk, radices[split])
                 size = (last - first) * span
                 label_shift = base + sign * (dot + first * weights[split])
-                parent_shift = parent_base - sign * (dot + first * parent_weights[split])
+                parent_shift = parent_base + parent_sign * (dot + first * parent_weights[split])
                 yield Block(
                     prefix,
                     (range(first, last),) + full_ranges,

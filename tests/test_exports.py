@@ -41,6 +41,25 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_level_form_is_the_only_parity_branch():
+    # The closed form's per-level offset and sign come from
+    # labelling.level_form alone; another function of the module that takes
+    # "% 2" states the formula a second time.
+    path = Path(gracetree.__file__).parent / "labelling.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    branches = [
+        f"{function.name}:{node.lineno}"
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name != "level_form"
+        for node in ast.walk(function)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 2
+    ]
+    assert branches == []
+
+
 def test_no_unread_top_level_names():
     # A top-level def, class or assignment counts as read when some module
     # of the package loads it, imports it or lists it in __all__; dunder

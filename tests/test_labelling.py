@@ -92,11 +92,13 @@ class TestLabelAll:
         assert sorted(edge_labels) == [1, 2, 3, 4, 5, 6]
 
     def test_agrees_with_pointwise_over_sweep(self):
-        # The streaming labeller derives labels incrementally; every record
-        # must agree with an independent pointwise evaluation, the parent
-        # label with the parent's own label, and the order with the
-        # canonical enumeration.  This also exercises the even-level
-        # no-underflow check on every vertex of the sweep.
+        # The stream and label_vertex both read level_form, so this checks
+        # the block tables, the parent labels and the id order, not the
+        # formula itself.  The formula is pinned by the published 33-label
+        # example, the zig-zag path, the decoder round trips and the
+        # verifier sweep.  Every record must agree with label_vertex, the
+        # parent label with the parent's own label, and the order with the
+        # canonical enumeration.
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
             order = enumerate_vertices(shape)
@@ -154,6 +156,9 @@ class TestLabelBlocks:
             assert block.parent_labels == [0] * BLOCK
 
     def test_labels_agree_with_pointwise_over_sweep(self):
+        # Both sides read level_form: this checks the offset tables and the
+        # block shifts against label_vertex, not the formula itself (see
+        # TestLabelAll.test_agrees_with_pointwise_over_sweep).
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
             for block in label_blocks(shape):
