@@ -20,7 +20,6 @@ from .labelling import (
     BLOCK,
     Block,
     LabelledVertex,
-    edge_label,
     enumerate_vertices,
     label_all,
     label_blocks,
@@ -68,7 +67,6 @@ __all__ = [
     "brute_force_graceful",
     "build_shape",
     "canonical_path_labelling",
-    "edge_label",
     "enumerate_vertices",
     "format_vertex",
     "invert_label",

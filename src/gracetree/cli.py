@@ -1,4 +1,4 @@
-"""Command-line interface: label, invert, verify, oracle-compare, bench.
+"""Command-line interface: label, invert, verify, oracle-compare.
 
 ``label`` only exports records; ``verify`` streams them into the verifier.
 
@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from contextlib import contextmanager
 from itertools import groupby, repeat
 from operator import add, itemgetter, sub
@@ -33,7 +32,6 @@ from .inverse import DecodeState, invert_label, trace_inversion
 from .labelling import label_all, level_runs, records_from_assignment
 from .shape import TreeShape, build_shape, format_vertex, parse_degree_sequence
 from .verification import (
-    auxiliary_bitmap_bytes,
     brute_force_graceful,
     canonical_path_labelling,
     verify_with_weak_alpha,
@@ -76,8 +74,9 @@ def _runs(shape: TreeShape):
     label must be 0: the writers' headers print it.
     """
     runs = level_runs(shape, label_all(shape))
-    if next(runs)[2] != (0,):
-        raise LabellingStreamError("label stream does not start with the root record")
+    (root_label,) = next(runs)[2]
+    if root_label != 0:
+        raise LabellingStreamError(f"label stream has root label {root_label}, not 0")
     for width, vertices, labels, parents in runs:
         yield width, vertices, labels, parents, map(abs, map(sub, labels, parents))
 
@@ -262,29 +261,6 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.reps < 1:
-        print("error: --reps must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    shape = _shape_from(args)
-    times = []
-    for _ in range(args.reps):
-        start = time.perf_counter()
-        report = verify_with_weak_alpha(shape, label_all(shape))[0]
-        times.append(time.perf_counter() - start)
-        if not report.passed:
-            print("verification FAILED during bench", file=sys.stderr)
-            _print_counterexamples(report)
-            return EXIT_VERIFY_FAILED
-    best = min(times)
-    mean = sum(times) / len(times)
-    print(f"vertices: {shape.vertex_count}  edges: {shape.edge_count}  reps: {args.reps}")
-    print(f"per pass: best {best:.6f} s, mean {mean:.6f} s")
-    print(f"throughput: {shape.vertex_count / best:.0f} vertices/s")
-    print(f"auxiliary bitmap memory: {auxiliary_bitmap_bytes(shape)} bytes")
-    return EXIT_OK
-
-
 def _add_degrees_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "degrees",
@@ -325,11 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_degrees_arguments(p)
     p.add_argument("--cap", type=int, default=14, help="search oracle vertex cap")
     p.set_defaults(func=cmd_oracle_compare)
-
-    p = sub.add_parser("bench", help="time a full labelling + verification pass")
-    _add_degrees_arguments(p)
-    p.add_argument("--reps", type=int, default=1, help="repetitions (>= 1)")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -27,7 +27,7 @@ from itertools import chain, islice, product, repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import ConsistencyError, InvalidVertexError, LabellingStreamError
+from .errors import ConsistencyError, LabellingStreamError
 from .shape import TreeShape, VertexId, validate_vertex
 
 # Most vertices in one block.  The offset tables grow with it, while each
@@ -99,13 +99,6 @@ def label_vertex(shape: TreeShape, vertex: VertexId) -> int:
             f"label {result} for vertex {vertex} outside [0, {shape.edge_count}]"
         )
     return result
-
-
-def edge_label(shape: TreeShape, child: VertexId) -> int:
-    """Induced label of the edge between a non-root vertex and its parent."""
-    if not child:
-        raise InvalidVertexError("the root has no incoming edge")
-    return abs(label_vertex(shape, child) - label_vertex(shape, child[:-1]))
 
 
 def label_blocks(shape: TreeShape) -> Iterator[Block]:

@@ -137,11 +137,13 @@ def test_criterion_7_large_tree_streaming(capsys):
     shape = build_shape((2,) * 20)
     assert shape.vertex_count == 2_097_151
     start = time.perf_counter()
-    code = main(["bench", degrees, "--reps", "1"])
+    code = main(["verify", degrees])
     elapsed = time.perf_counter() - start
-    bench_output = capsys.readouterr().out
-    assert code == 0, bench_output
-    assert "vertices: 2097151" in bench_output
+    verify_output = capsys.readouterr().out
+    assert code == 0, verify_output
+    assert "vertices: 2097151  edges: 2097150" in verify_output
+    assert "second-level subtree size 1048575 lies in the interval" in verify_output
+    assert "result: PASS" in verify_output
     assert elapsed < 60.0
     with capsys.disabled():
         report(
@@ -150,8 +152,8 @@ def test_criterion_7_large_tree_streaming(capsys):
             f"{'' if elapsed < 10 else ', exceeded on this machine'})",
             elapsed,
         )
-        for line in bench_output.strip().splitlines():
-            print(f"    bench: {line}")
+        for line in verify_output.strip().splitlines():
+            print(f"    verify: {line}")
 
 
 def test_criterion_8_search_oracle_soundness():

@@ -217,7 +217,7 @@ class TestLabelStreamGuard:
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize(
         "stream, message",
-        [(_wrong_root, "does not start with the root record")] + STREAM_FAULTS,
+        [(_wrong_root, "label stream has root label 1, not 0")] + STREAM_FAULTS,
     )
     def test_fault(self, capsys, monkeypatch, fmt, stream, message):
         monkeypatch.setattr(cli, "label_all", stream)
@@ -379,20 +379,6 @@ class TestOracleCompareCommand:
         assert "search oracle" not in out
 
 
-class TestBenchCommand:
-    def test_reports_throughput(self, capsys):
-        code, out, _ = run(capsys, "bench", "2,3,4", "--reps", "10")
-        assert code == 0
-        assert "vertices: 33" in out
-        assert "throughput:" in out
-        assert "auxiliary bitmap memory: 9 bytes" in out
-
-    def test_zero_reps_rejected(self, capsys):
-        code, _, err = run(capsys, "bench", "2,3,4", "--reps", "0")
-        assert code == 2
-        assert "--reps" in err
-
-
 class TestExitStatuses:
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "label", "2,0,4")
@@ -404,20 +390,18 @@ class TestExitStatuses:
         assert code == 3
         assert "64-bit" in err
 
-    @pytest.mark.parametrize("command", ["verify", "bench"])
-    def test_bitmaps_beyond_memory(self, capsys, command):
+    def test_bitmaps_beyond_memory(self, capsys):
         # About 2^61 bytes of bitmap: more than any 64-bit address space.
-        code, out, err = run(capsys, command, "4294967295,4294967295")
+        code, out, err = run(capsys, "verify", "4294967295,4294967295")
         assert code == 3
         assert err.startswith("error: ") and "memory" in err
         assert len(err.splitlines()) == 1
         assert "result:" not in out
 
-    @pytest.mark.parametrize("command", ["verify", "bench"])
-    def test_bitmaps_beyond_physical_memory(self, capsys, monkeypatch, command):
+    def test_bitmaps_beyond_physical_memory(self, capsys, monkeypatch):
         # 32 KiB of bitmaps on a machine that reports 16 KiB of memory.
         monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 4096}.get)
-        code, out, err = run(capsys, command, ",".join(["2"] * 16))
+        code, out, err = run(capsys, "verify", ",".join(["2"] * 16))
         assert code == 3
         assert err == "error: bitmaps of 32768 bytes exceed the 16384 bytes of memory\n"
         assert "result:" not in out
@@ -445,8 +429,9 @@ class TestExitStatuses:
         assert code == 2
         assert "the following arguments are required: degrees" in err
 
-    def test_unknown_command(self, capsys):
-        assert main(["frobnicate"]) == 2
+    @pytest.mark.parametrize("argv", [["frobnicate"], ["bench", "2,3,4"]], ids=" ".join)
+    def test_unknown_command(self, capsys, argv):
+        assert main(argv) == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize("fmt", FORMATS)

@@ -10,7 +10,6 @@ from gracetree import (
     LabelledVertex,
     LabellingStreamError,
     build_shape,
-    edge_label,
     enumerate_vertices,
     label_all,
     label_blocks,
@@ -61,17 +60,6 @@ class TestLabelVertex:
             assert label_vertex(shape, (0,)) == shape.edge_count
 
 
-class TestEdgeLabel:
-    def test_published_values(self, example_shape):
-        assert edge_label(example_shape, (0,)) == 32
-        assert edge_label(example_shape, (1, 0)) == 1
-        assert edge_label(example_shape, (1, 2, 3)) == 25
-
-    def test_root_rejected(self, example_shape):
-        with pytest.raises(InvalidVertexError):
-            edge_label(example_shape, ())
-
-
 class TestLabelAll:
     def test_published_table(self, example_shape):
         records = list(label_all(example_shape))
@@ -107,8 +95,8 @@ class TestLabelAll:
                 assert rec.label == label_vertex(shape, rec.vertex)
                 if rec.vertex:
                     assert rec.parent_label == label_vertex(shape, rec.vertex[:-1])
-                    assert abs(rec.label - rec.parent_label) == edge_label(
-                        shape, rec.vertex
+                    assert abs(rec.label - rec.parent_label) == abs(
+                        label_vertex(shape, rec.vertex) - label_vertex(shape, rec.vertex[:-1])
                     )
                 else:
                     assert rec.parent_label is None
