@@ -1,5 +1,6 @@
 """Command-line surface: formats, outputs, and the exit-status contract."""
 
+import argparse
 import csv
 import io
 import json
@@ -64,6 +65,12 @@ class TestLabelCommand:
         by_vertex = {row[0]: row for row in rows[1:]}
         assert by_vertex["(0,2)"][2] == "11"
         assert by_vertex["()"] == ["()", "1", "0", "", ""]
+
+    def test_published_edge_labels(self, capsys):
+        code, out, _ = run(capsys, "label", "2,3,4", "--format", "csv")
+        assert code == 0
+        edges = {row[0]: row[4] for row in csv.reader(io.StringIO(out))}
+        assert (edges["(0)"], edges["(1,0)"], edges["(1,2,3)"]) == ("32", "1", "25")
 
     def test_json_single_vertex(self, capsys):
         code, out, _ = run(capsys, "label", "", "--format", "json")
@@ -307,6 +314,27 @@ class TestVerifyCommand:
         assert "result: PASS" in out
         assert "second-level subtree size 3 lies in the interval" in out
 
+    @pytest.mark.parametrize(
+        "degrees, separator_lines",
+        [
+            ("1", ["weak separator interval: [0, 1]", "strict separator feasible: yes"]),
+            ("3,2", ["weak separator interval: empty", "strict separator feasible: no"]),
+            (
+                "2,1",
+                [
+                    "weak separator interval: [2, 2]",
+                    "second-level subtree size 2 lies in the interval",
+                    "strict separator feasible: no",
+                ],
+            ),
+        ],
+    )
+    def test_separator_report(self, capsys, degrees, separator_lines):
+        # The claim line appears only when the root has two children.
+        code, out, _ = run(capsys, "verify", degrees)
+        assert code == 0
+        assert out.splitlines()[6:] == separator_lines + ["result: PASS"]
+
     def test_separator_claim_checked_on_the_stream(self, capsys, monkeypatch):
         # A graceful stream whose h_2 is not a feasible separator: the
         # closed form never yields one, so verify treats it as a bug.
@@ -428,6 +456,17 @@ class TestExitStatuses:
         code, _, err = run(capsys, "label")
         assert code == 2
         assert "the following arguments are required: degrees" in err
+
+    def test_commands_match_the_docstring(self):
+        # The module docstring's first line names every command, no more.
+        (subparsers,) = [
+            action
+            for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        documented = cli.__doc__.splitlines()[0].split(": ", 1)[1].rstrip(".")
+        assert list(subparsers.choices) == documented.split(", ")
+        assert list(subparsers.choices) == ["label", "invert", "verify", "oracle-compare"]
 
     @pytest.mark.parametrize("argv", [["frobnicate"], ["bench", "2,3,4"]], ids=" ".join)
     def test_unknown_command(self, capsys, argv):

@@ -60,6 +60,19 @@ class TestLabelVertex:
             assert label_vertex(shape, (0,)) == shape.edge_count
 
 
+class TestEdgeLabel:
+    def test_published_values(self, example_shape):
+        # A record carries its edge as |label - parent_label|.
+        edges = {
+            rec.vertex: abs(rec.label - rec.parent_label)
+            for rec in label_all(example_shape)
+            if rec.parent_label is not None
+        }
+        assert edges[(0,)] == 32
+        assert edges[(1, 0)] == 1
+        assert edges[(1, 2, 3)] == 25
+
+
 class TestLabelAll:
     def test_published_table(self, example_shape):
         records = list(label_all(example_shape))
