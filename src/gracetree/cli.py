@@ -30,7 +30,7 @@ from .errors import (
 )
 from .inverse import DecodeState, invert_label, trace_inversion
 from .labelling import label_all, level_runs, records_from_assignment
-from .shape import TreeShape, build_shape, format_vertex, parse_degree_sequence
+from .shape import TreeShape, build_shape, format_vertex, integer, parse_degree_sequence
 from .verification import (
     brute_force_graceful,
     canonical_path_labelling,
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="decode a label back to its vertex")
     _add_degrees_arguments(p)
-    p.add_argument("label", type=int, help="label to decode")
+    p.add_argument("label", type=integer, help="label to decode")
     p.add_argument("--trace", action="store_true", help="print every decoder step")
     p.set_defaults(func=cmd_invert)
 
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the closed form against independent oracles",
     )
     _add_degrees_arguments(p)
-    p.add_argument("--cap", type=int, default=14, help="search oracle vertex cap")
+    p.add_argument("--cap", type=integer, default=14, help="search oracle vertex cap")
     p.set_defaults(func=cmd_oracle_compare)
 
     return parser

@@ -13,6 +13,7 @@ deepest level always has h_q = 1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -34,6 +35,16 @@ def _check_degree(value: int, position: int) -> None:
         )
 
 
+def integer(text: str) -> int:
+    """Read ASCII ``[+-]?[0-9]+``, not int()'s ``1_0``; ValueError past 20 significant digits."""
+    match = re.fullmatch(r"\s*([+-]?)0*([0-9]+)\s*", text)
+    if match is None:
+        raise ValueError(f"{text.strip()!r} is not an integer")
+    if len(match[2]) > 20:
+        raise ValueError("exceeds the 64-bit range")
+    return int(match[1] + match[2])
+
+
 def parse_degree_sequence(text: str) -> tuple[int, ...]:
     """Parse a comma-separated daughter degree sequence.
 
@@ -44,13 +55,10 @@ def parse_degree_sequence(text: str) -> tuple[int, ...]:
         return ()
     degrees = []
     for position, token in enumerate(text.split(","), start=1):
-        token = token.strip()
         try:
-            value = int(token)
-        except ValueError:
-            raise DegreeSequenceError(
-                f"entry {position}: {token!r} is not an integer"
-            ) from None
+            value = integer(token)
+        except ValueError as exc:
+            raise DegreeSequenceError(f"entry {position}: daughter degree {exc}") from None
         _check_degree(value, position)
         degrees.append(value)
     return tuple(degrees)

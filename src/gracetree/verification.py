@@ -5,11 +5,11 @@ Nothing here trusts the closed form or the stream: one pass of
 two presence bitmaps, recomputing every edge label from its end labels,
 and takes the weak separator interval from per-edge extremes.  The stream
 is read through ``level_runs``, which cuts it into runs of one level and
-checks its structure.  A run whose children all lie on one side of their
-parents is marked through two integer masks, whose digits one loop builds
-from its labels and signed label differences; any other run, and one that
-could hold a fault, is checked record by record, so every label is still
-tested against the bitmaps.
+checks its structure; the root's run is read first.  A later run whose
+children all lie on one side of their parents is marked through two
+integer masks; any other is checked record by record and takes its
+separator ends from whole-run extremes.  The report's flags follow from
+the kinds of counterexample found.
 Paths have their own zig-zag oracle; small shapes can be searched exhaustively.
 """
 
@@ -166,26 +166,22 @@ def verify_with_weak_alpha(
     Vertex labels must be pairwise distinct within [0, |E|] and the
     induced edge labels pairwise distinct within [1, |E|]; together that
     forces the edge labels to be exactly {1, ..., |E|}.  The stream must
-    cover every vertex once in canonical level order, else LabellingStreamError;
-    its parent labels are taken as given.
+    cover every vertex once in canonical level order, else
+    LabellingStreamError; its parent labels are taken as given.
 
-    Records are checked a run at a time, as ``level_runs`` cuts them.  A run
-    whose children all lie above their parents (or all below) takes the label
-    differences (or their negations) as edge labels; one loop over its labels
-    and differences builds the digits of one integer mask per presence
-    bitmap.  Its separator ends are max(parent labels) and the labels'
-    minimum above, or the labels' maximum and min(parent labels) below; the
-    label extremes are the ones that already place the vertex mask.  The
-    root's run, and any run that is out of range, repeats or overlaps
-    labels, or is too sparse for a bounded mask, is checked record by
-    record, naming counterexamples in stream order.
+    The root's run is read first: its label goes into empty bitmaps, so it
+    can only be out of range.  Every later run of ``level_runs`` goes to
+    ``_mark_run``, which marks a one-sided run through two masks and returns
+    its separator ends.  Any other run is checked record by record, naming
+    counterexamples in stream order, and takes its ends from whole-run
+    extremes: the largest smaller end and the smallest larger end.  One
+    fold over the runs' ends gives the feasible interval, and each flag of
+    the report holds when no counterexample of its kinds was found.
 
-    The weak-separator report is None when verification fails; its
-    feasible interval is the intersection of the per-edge [min, max]
-    intervals.  Memory is two bitmaps (vertex labels 0..|E|, edge labels
-    1..|E|) plus per-run scratch bounded by CHUNK and
-    MASK_BITS_PER_VALUE, so multi-million-vertex streams are fine.  CapacityError
-    is raised before allocating bitmaps larger than physical memory.
+    The weak-separator report is None when verification fails.  Memory is
+    two bitmaps (vertex labels 0..|E|, edge labels 1..|E|) plus per-run
+    scratch bounded by CHUNK and MASK_BITS_PER_VALUE.  CapacityError is
+    raised before allocating bitmaps larger than physical memory.
     """
     needed = auxiliary_bitmap_bytes(shape)
     try:
@@ -198,62 +194,47 @@ def verify_with_weak_alpha(
     vertex_bits = bytearray((edge_count + 8) // 8)
     edge_bits = bytearray((edge_count + 7) // 8)
     counterexamples: list[Counterexample] = []
-    distinct = in_range = complete = True
-    lo = 0  # max over edges of min(end labels)
-    hi: int | None = None  # min over edges of max(end labels)
-    for width, vertices, labels, parent_labels in level_runs(shape, records):
-        # The root's run has no parent labels and goes record by record.
-        ends = width and _mark_run(vertex_bits, edge_bits, edge_count, labels, parent_labels)
-        if ends:
-            small, large = ends
-            if small > lo:
-                lo = small
-            if hi is None or large < hi:
-                hi = large
-            continue
-        for vertex, label, parent_label in zip(vertices, labels, parent_labels):
-            if 0 <= label <= edge_count:
-                byte, bit = divmod(label, 8)
-                mask = 1 << bit
-                if vertex_bits[byte] & mask:
-                    distinct = False
+    runs = level_runs(shape, records)
+    (root_label,) = next(runs)[2]
+    if 0 <= root_label <= edge_count:
+        vertex_bits[root_label // 8] |= 1 << root_label % 8
+    else:
+        counterexamples.append(Counterexample("vertex label out of range", (), root_label))
+    lo, hi = 0, edge_count  # max over edges of min(end labels), min of max(end labels)
+    for _, vertices, labels, parent_labels in runs:
+        ends = _mark_run(vertex_bits, edge_bits, edge_count, labels, parent_labels)
+        if ends is None:
+            for vertex, label, parent_label in zip(vertices, labels, parent_labels):
+                if not 0 <= label <= edge_count:
+                    counterexamples.append(
+                        Counterexample("vertex label out of range", vertex, label)
+                    )
+                elif vertex_bits[label // 8] & 1 << label % 8:
                     counterexamples.append(
                         Counterexample("duplicate vertex label", vertex, label)
                     )
                 else:
-                    vertex_bits[byte] |= mask
-            else:
-                in_range = False
-                counterexamples.append(
-                    Counterexample("vertex label out of range", vertex, label)
-                )
-            if parent_label is None:
-                continue
-            induced = abs(label - parent_label)
-            if 1 <= induced <= edge_count:
-                byte, bit = divmod(induced - 1, 8)
-                mask = 1 << bit
-                if edge_bits[byte] & mask:
-                    complete = False
+                    vertex_bits[label // 8] |= 1 << label % 8
+                induced = abs(label - parent_label)
+                if not 1 <= induced <= edge_count:
+                    counterexamples.append(
+                        Counterexample("edge label out of range", vertex, induced)
+                    )
+                elif edge_bits[(induced - 1) // 8] & 1 << (induced - 1) % 8:
                     counterexamples.append(
                         Counterexample("duplicate edge label", vertex, induced)
                     )
                 else:
-                    edge_bits[byte] |= mask
-            else:
-                complete = False
-                counterexamples.append(
-                    Counterexample("edge label out of range", vertex, induced)
-                )
-            if label < parent_label:
-                small, large = label, parent_label
-            else:
-                small, large = parent_label, label
-            if small > lo:
-                lo = small
-            if hi is None or large < hi:
-                hi = large
-    report = VerificationReport(distinct, in_range, complete, tuple(counterexamples))
+                    edge_bits[(induced - 1) // 8] |= 1 << (induced - 1) % 8
+            ends = max(map(min, labels, parent_labels)), min(map(max, labels, parent_labels))
+        lo, hi = max(lo, ends[0]), min(hi, ends[1])
+    kinds = {kind for kind, _, _ in counterexamples}
+    report = VerificationReport(
+        "duplicate vertex label" not in kinds,
+        "vertex label out of range" not in kinds,
+        kinds.isdisjoint(("duplicate edge label", "edge label out of range")),
+        tuple(counterexamples),
+    )
     if not report.passed:
         return report, None
     if edge_count == 0:
@@ -261,8 +242,7 @@ def verify_with_weak_alpha(
         return report, WeaklyAlphaReport((0, 0), None, True)
     feasible = (lo, hi) if lo <= hi else None
     claimed = shape.level_sizes[1] if shape.degrees[0] == 2 else None
-    strict = feasible is not None and lo < hi
-    return report, WeaklyAlphaReport(feasible, claimed, strict)
+    return report, WeaklyAlphaReport(feasible, claimed, lo < hi)
 
 
 def brute_force_graceful(

@@ -468,6 +468,15 @@ class TestExitStatuses:
         assert list(subparsers.choices) == documented.split(", ")
         assert list(subparsers.choices) == ["label", "invert", "verify", "oracle-compare"]
 
+    @pytest.mark.parametrize(
+        "argv", [["invert", "2,3,4", "1_0"], ["oracle-compare", "2,2", "--cap", "1_4"]], ids=" ".join
+    )
+    def test_integers_are_ascii_decimal(self, capsys, argv):
+        # int() would read both as 10 and 14.
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "invalid integer value" in err and out == ""
+
     @pytest.mark.parametrize("argv", [["frobnicate"], ["bench", "2,3,4"]], ids=" ".join)
     def test_unknown_command(self, capsys, argv):
         assert main(argv) == 2

@@ -45,10 +45,18 @@ class TestParseDegreeSequence:
             parse_degree_sequence("2,x,4")
         with pytest.raises(DegreeSequenceError):
             parse_degree_sequence("2,,4")
+        # Only ASCII decimal digits: int() alone would read each as 10 or 1.
+        for text in ("1_0", "\uff11", "\u0661\u0660"):
+            with pytest.raises(DegreeSequenceError, match="is not an integer"):
+                parse_degree_sequence(text)
 
     def test_beyond_64_bits_rejected(self):
         with pytest.raises(DegreeSequenceError):
             parse_degree_sequence(str(2**64))
+        # Past int()'s 4,300 digits: the entry is named, not echoed.
+        with pytest.raises(DegreeSequenceError) as raised:
+            parse_degree_sequence("2," + "9" * 5000)
+        assert str(raised.value) == "entry 2: daughter degree exceeds the 64-bit range"
 
 
 class TestBuildShape:

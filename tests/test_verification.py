@@ -250,9 +250,9 @@ def runs_of(shape):
 def takes_masks(run):
     """Whether the verifier marks a fault-free run through its masks.
 
-    The root's run, one with children on both sides of their parents or a
-    zero edge, or one whose labels or edge labels are too sparse for a
-    bounded mask, is checked record by record instead.
+    The root's run is read apart.  A run with children on both sides of
+    their parents or a zero edge, or one whose labels or edge labels are too
+    sparse for a bounded mask, is checked record by record instead.
     """
     width, _, labels, parent_labels = run
     if not width or chunk_side(run) == "mixed":
@@ -276,12 +276,18 @@ class TestAgainstReferenceChecker:
     """The chunked verifier returns exactly what a plain per-record check does."""
 
     def test_closed_form_sweep(self):
+        # |E| - f is graceful too, with every run's children on the other
+        # side of their parents, so each run changes the ends it reports.
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
             assignment = {r.vertex: r.label for r in label_all(shape)}
             assert verify_with_weak_alpha(shape, label_all(shape)) == (
                 reference_reports(degrees, assignment)
             ), degrees
+            mirrored = {v: shape.edge_count - label for v, label in assignment.items()}
+            assert verify_with_weak_alpha(
+                shape, records_from_assignment(shape, mirrored)
+            ) == reference_reports(degrees, mirrored), degrees
 
     def test_seeded_corruptions_over_sweep(self):
         rng = random.Random(2021)
@@ -299,15 +305,16 @@ class TestAgainstReferenceChecker:
                 ), (degrees, kind, vertex)
 
     def test_corruption_on_every_level_of_a_deep_tree(self):
-        # The root's run and the sparse shallow levels of (2,)*12 go record
-        # by record; the runs of the wide levels are marked through masks.
+        # The root's run is read apart, the sparse shallow levels of (2,)*12
+        # go record by record, and the runs of the wide levels are marked
+        # through masks.  Width 0 puts every kind of fault on the root.
         degrees = (2,) * 12
         shape = build_shape(degrees)
         masked = list(map(takes_masks, runs_of(shape)))
         assert any(masked) and not all(masked)
         assignment = {r.vertex: r.label for r in label_all(shape)}
         rng = random.Random(12)
-        for width in range(1, len(degrees) + 1):
+        for width in range(len(degrees) + 1):
             level = list(product(range(2), repeat=width))
             for kind in CORRUPTIONS:
                 vertex = rng.choice(level)
