@@ -51,6 +51,14 @@ def _shape_from(args: argparse.Namespace) -> TreeShape:
     return build_shape(parse_degree_sequence(args.degrees))
 
 
+def _integer_argument(text: str) -> int:
+    # argparse echoes a token whose reader raises ValueError; this one is cut short.
+    try:
+        return integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {exc}") from None
+
+
 @contextmanager
 def _open_out(path: str | None):
     if path is None or path == "-":
@@ -219,13 +227,10 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     n = shape.vertex_count
     path_oracle = all(k == 1 for k in shape.degrees) and n <= PATH_ORACLE_MAX_VERTICES
     if not path_oracle and n > args.cap:
-        print(
-            f"error: {n} vertices exceeds the search cap ({args.cap}) "
-            "and the shape is not a path of at most "
-            f"{PATH_ORACLE_MAX_VERTICES} vertices",
-            file=sys.stderr,
+        raise SearchCapError(
+            f"{n} vertices exceeds the search cap ({args.cap}) and the shape "
+            f"is not a path of at most {PATH_ORACLE_MAX_VERTICES} vertices"
         )
-        return EXIT_USAGE
     closed = list(label_all(shape))
     failures = 0
     if path_oracle:
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="decode a label back to its vertex")
     _add_degrees_arguments(p)
-    p.add_argument("label", type=integer, help="label to decode")
+    p.add_argument("label", type=_integer_argument, help="label to decode")
     p.add_argument("--trace", action="store_true", help="print every decoder step")
     p.set_defaults(func=cmd_invert)
 
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the closed form against independent oracles",
     )
     _add_degrees_arguments(p)
-    p.add_argument("--cap", type=integer, default=14, help="search oracle vertex cap")
+    p.add_argument("--cap", type=_integer_argument, default=14, help="search oracle vertex cap")
     p.set_defaults(func=cmd_oracle_compare)
 
     return parser

@@ -85,7 +85,7 @@ def _decode(shape: TreeShape, m: int, trace: list[DecodeState] | None) -> Vertex
     if trace is not None:
         trace.append(DecodeState(2, "even", (digit,), rem))
     if rem == 0:
-        return _decoded(shape, 2, [digit])
+        return _decoded(shape, [digit])
 
     # Deeper levels: two divisions per test, alternating chains.  The odd
     # chain's first test divides m itself; afterwards each chain continues
@@ -109,22 +109,17 @@ def _decode(shape: TreeShape, m: int, trace: list[DecodeState] | None) -> Vertex
             chain = "odd" if parity else "even"
             trace.append(DecodeState(level, chain, tuple(digits), rem))
         if rem == 0:
-            return _decoded(shape, level, digits)
+            return _decoded(shape, digits)
     raise ConsistencyError(
         f"label {m} unresolved after level {shape.levels}; "
         "the deepest divisor is 1 and must terminate the scan"
     )
 
 
-def _decoded(shape: TreeShape, level: int, digits: list[int]) -> VertexId:
+def _decoded(shape: TreeShape, digits: list[int]) -> VertexId:
     vertex = tuple(digits)
     try:
-        decoded_level = validate_vertex(shape, vertex)
+        validate_vertex(shape, vertex)
     except InvalidVertexError as exc:
         raise ConsistencyError(f"decoded vertex {vertex} is invalid: {exc}") from exc
-    if decoded_level != level:
-        raise ConsistencyError(
-            f"decoded vertex {vertex} sits at level {decoded_level}, "
-            f"but the scan resolved level {level}"
-        )
     return vertex

@@ -24,22 +24,13 @@ U64_MAX = 2**64 - 1
 VertexId = tuple[int, ...]
 
 
-def _check_degree(value: int, position: int) -> None:
-    if value < 1:
-        raise DegreeSequenceError(
-            f"entry {position}: daughter degree must be >= 1, got {value}"
-        )
-    if value > U64_MAX:
-        raise DegreeSequenceError(
-            f"entry {position}: daughter degree {value} exceeds the 64-bit range"
-        )
-
-
 def integer(text: str) -> int:
     """Read ASCII ``[+-]?[0-9]+``, not int()'s ``1_0``; ValueError past 20 significant digits."""
     match = re.fullmatch(r"\s*([+-]?)0*([0-9]+)\s*", text)
     if match is None:
-        raise ValueError(f"{text.strip()!r} is not an integer")
+        token = text.strip()  # shown up to 20 characters, the width of U64_MAX
+        shown = repr(token[:20]) + ("..." if len(token) > 20 else "")
+        raise ValueError(f"{shown} is not an integer")
     if len(match[2]) > 20:
         raise ValueError("exceeds the 64-bit range")
     return int(match[1] + match[2])
@@ -48,8 +39,8 @@ def integer(text: str) -> int:
 def parse_degree_sequence(text: str) -> tuple[int, ...]:
     """Parse a comma-separated daughter degree sequence.
 
-    Whitespace around commas is tolerated.  Empty (or all-whitespace) text
-    denotes the single-vertex tree.
+    Whitespace around commas is tolerated; empty (or all-whitespace) text
+    denotes the single-vertex tree.  Ranges are checked by TreeShape.
     """
     if text.strip() == "":
         return ()
@@ -59,7 +50,6 @@ def parse_degree_sequence(text: str) -> tuple[int, ...]:
             value = integer(token)
         except ValueError as exc:
             raise DegreeSequenceError(f"entry {position}: daughter degree {exc}") from None
-        _check_degree(value, position)
         degrees.append(value)
     return tuple(degrees)
 
@@ -81,7 +71,14 @@ class TreeShape:
 
     def __post_init__(self):
         for position, k in enumerate(self.degrees, start=1):
-            _check_degree(k, position)
+            if k < 1:
+                raise DegreeSequenceError(
+                    f"entry {position}: daughter degree must be >= 1, got {k}"
+                )
+            if k > U64_MAX:
+                raise DegreeSequenceError(
+                    f"entry {position}: daughter degree {k} exceeds the 64-bit range"
+                )
         sizes = [1]
         for i in range(len(self.degrees) - 1, -1, -1):
             nxt = self.degrees[i] * sizes[-1] + 1

@@ -76,9 +76,9 @@ class WeaklyAlphaReport:
 
 
 def auxiliary_bitmap_bytes(shape: TreeShape) -> int:
-    """Bytes of presence-bitmap state one verification pass allocates."""
+    """Bytes of one verification pass's two presence bitmaps, |E| + 1 bits each."""
     e = shape.edge_count
-    return (e + 8) // 8 + (e + 7) // 8
+    return 2 * ((e + 8) // 8)
 
 
 def _mark_run(
@@ -124,7 +124,7 @@ def _mark_run(
     if diff_high < 0:
         edge_digits.reverse()
     vertex_marks = _mask_window(vertex_bits, label_digits, len(labels), low)
-    edge_marks = vertex_marks and _mask_window(edge_bits, edge_digits, len(labels), edge_low - 1)
+    edge_marks = vertex_marks and _mask_window(edge_bits, edge_digits, len(labels), edge_low)
     if not edge_marks:
         return None
     for bitmap, (start, stop, window) in ((vertex_bits, vertex_marks), (edge_bits, edge_marks)):
@@ -179,7 +179,7 @@ def verify_with_weak_alpha(
     the report holds when no counterexample of its kinds was found.
 
     The weak-separator report is None when verification fails.  Memory is
-    two bitmaps (vertex labels 0..|E|, edge labels 1..|E|) plus per-run
+    two bitmaps of |E| + 1 bits, each indexed by label, plus per-run
     scratch bounded by CHUNK and MASK_BITS_PER_VALUE.  CapacityError is
     raised before allocating bitmaps larger than physical memory.
     """
@@ -191,8 +191,8 @@ def verify_with_weak_alpha(
     if 0 < physical < needed:  # such bitmaps would be zero-filled page by page
         raise CapacityError(f"bitmaps of {needed} bytes exceed the {physical} bytes of memory")
     edge_count = shape.edge_count
-    vertex_bits = bytearray((edge_count + 8) // 8)
-    edge_bits = bytearray((edge_count + 7) // 8)
+    vertex_bits = bytearray(needed // 2)
+    edge_bits = bytearray(needed // 2)
     counterexamples: list[Counterexample] = []
     runs = level_runs(shape, records)
     (root_label,) = next(runs)[2]
@@ -220,12 +220,12 @@ def verify_with_weak_alpha(
                     counterexamples.append(
                         Counterexample("edge label out of range", vertex, induced)
                     )
-                elif edge_bits[(induced - 1) // 8] & 1 << (induced - 1) % 8:
+                elif edge_bits[induced // 8] & 1 << induced % 8:
                     counterexamples.append(
                         Counterexample("duplicate edge label", vertex, induced)
                     )
                 else:
-                    edge_bits[(induced - 1) // 8] |= 1 << (induced - 1) % 8
+                    edge_bits[induced // 8] |= 1 << induced % 8
             ends = max(map(min, labels, parent_labels)), min(map(max, labels, parent_labels))
         lo, hi = max(lo, ends[0]), min(hi, ends[1])
     kinds = {kind for kind, _, _ in counterexamples}

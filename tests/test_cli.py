@@ -49,6 +49,16 @@ RUN_EDGE_SHAPES = [
 ]
 
 
+def _mirrored(shape):
+    # |E| - f is graceful too, but on a path it is not the zig-zag.
+    assignment = {r.vertex: shape.edge_count - r.label for r in label_all(shape)}
+    return records_from_assignment(shape, assignment)
+
+
+def _all_zero(shape):
+    return dict.fromkeys(enumerate_vertices(shape), 0)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -294,6 +304,11 @@ class TestInvertCommand:
         assert "resolved" in lines[2]
         assert lines[-1] == "(1,1,0) level 4"
 
+    def test_trace_of_the_root(self, capsys):
+        code, out, _ = run(capsys, "invert", "2,3,4", "0", "--trace")
+        assert code == 0
+        assert out == "level 1: label 0 is the root\n() level 1\n"
+
 
 class TestVerifyCommand:
     def test_example(self, capsys):
@@ -406,12 +421,32 @@ class TestOracleCompareCommand:
         assert "path oracle: exact match across 64 labels" in out
         assert "search oracle" not in out
 
+    @pytest.mark.parametrize(
+        "name, fake, degrees, line",
+        [
+            ("label_all", _mirrored, "1,1,1",
+             "path oracle: MISMATCH (closed form [3, 0, 2, 1], zig-zag [0, 3, 1, 2])"),
+            ("label_all", lambda shape: records_from_assignment(shape, _all_zero(shape)), "2,2",
+             "closed form: NOT graceful"),
+            ("brute_force_graceful", lambda shape, cap: None, "2,2",
+             "search oracle: exhausted without a graceful labelling"),
+            ("brute_force_graceful", lambda shape, cap: _all_zero(shape), "2,2",
+             "search oracle: produced an invalid labelling"),
+        ],
+        ids=["path mismatch", "closed form fails", "search exhausted", "search invalid"],
+    )
+    def test_oracle_failures(self, capsys, monkeypatch, name, fake, degrees, line):
+        monkeypatch.setattr(cli, name, fake)
+        code, out, _ = run(capsys, "oracle-compare", degrees)
+        assert code == 1
+        assert line in out.splitlines()
+
 
 class TestExitStatuses:
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "label", "2,0,4")
         assert code == 2
-        assert "error:" in err
+        assert err == "error: entry 2: daughter degree must be >= 1, got 0\n"
 
     def test_capacity_overflow(self, capsys):
         code, _, err = run(capsys, "label", ",".join(["4294967295"] * 5))
@@ -476,6 +511,31 @@ class TestExitStatuses:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "invalid integer value" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "2," + "x" * 5000],
+            ["invert", "2,3,4", "9" * 5000],
+            ["oracle-compare", "2,2", "--cap", "x" * 5000],
+        ],
+        ids=["verify", "invert", "oracle-compare"],
+    )
+    def test_refused_integer_is_not_echoed_in_full(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.encode()) < 200
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        def exhausted(shape, records):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "verify_with_weak_alpha", exhausted)
+        code, out, err = run(capsys, "verify", "2,3,4")
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory for this shape\n"
 
     @pytest.mark.parametrize("argv", [["frobnicate"], ["bench", "2,3,4"]], ids=" ".join)
     def test_unknown_command(self, capsys, argv):

@@ -60,6 +60,23 @@ def test_level_form_is_the_only_parity_branch():
     assert branches == []
 
 
+def test_only_main_prints_errors():
+    # Commands raise; cli.main alone turns an error into a stderr line and
+    # an exit status.
+    path = Path(gracetree.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    printers = [
+        f"{function.name}:{node.lineno}"
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name != "main"
+        for node in ast.walk(function)
+        if isinstance(node, ast.keyword)
+        and node.arg == "file"
+        and ast.unparse(node.value) == "sys.stderr"
+    ]
+    assert printers == []
+
+
 def test_no_unread_top_level_names():
     # A top-level def, class or assignment counts as read when some module
     # of the package loads it, imports it or lists it in __all__; dunder

@@ -32,13 +32,14 @@ class TestParseDegreeSequence:
         assert parse_degree_sequence("") == ()
         assert parse_degree_sequence("   ") == ()
 
+    # Ranges are checked by TreeShape alone; parse_degree_sequence reads integers.
     def test_zero_entry_rejected(self):
         with pytest.raises(DegreeSequenceError):
-            parse_degree_sequence("2,0,4")
+            build_shape(parse_degree_sequence("2,0,4"))
 
     def test_negative_entry_rejected(self):
         with pytest.raises(DegreeSequenceError):
-            parse_degree_sequence("2,-1")
+            build_shape(parse_degree_sequence("2,-1"))
 
     def test_non_integer_rejected(self):
         with pytest.raises(DegreeSequenceError):
@@ -52,7 +53,7 @@ class TestParseDegreeSequence:
 
     def test_beyond_64_bits_rejected(self):
         with pytest.raises(DegreeSequenceError):
-            parse_degree_sequence(str(2**64))
+            build_shape(parse_degree_sequence(str(2**64)))
         # Past int()'s 4,300 digits: the entry is named, not echoed.
         with pytest.raises(DegreeSequenceError) as raised:
             parse_degree_sequence("2," + "9" * 5000)

@@ -507,6 +507,6 @@ class TestCanonicalPathLabelling:
 
 
 def test_auxiliary_bitmap_bytes():
-    shape = build_shape((2, 3, 4))  # 32 edges: 33 vertex bits + 32 edge bits
-    assert auxiliary_bitmap_bytes(shape) == 5 + 4
-    assert auxiliary_bitmap_bytes(build_shape(())) == 1
+    shape = build_shape((2, 3, 4))  # 32 edges: two bitmaps of 33 bits, labels 0..32
+    assert auxiliary_bitmap_bytes(shape) == 5 + 5
+    assert auxiliary_bitmap_bytes(build_shape(())) == 2
