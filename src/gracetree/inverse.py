@@ -74,16 +74,18 @@ def _decode(shape: TreeShape, m: int, trace: list[DecodeState] | None) -> Vertex
         raise LabelRangeError(
             f"label {m} outside [0, {shape.edge_count}] for this shape"
         )
+    # Each state is built with tuple.__new__, which skips the Python-level
+    # __new__ of a NamedTuple: a trace makes one state per level.
     if m == 0:
         if trace is not None:
-            trace.append(DecodeState(1, "root", (), 0))
+            trace.append(tuple.__new__(DecodeState, (1, "root", (), 0)))
         return ()
 
     sizes = shape.level_sizes
     # Level 2: a single division of m' = k_1 * h_2 - m by h_2.
     digit, rem = divmod(shape.edge_count - m, sizes[1])
     if trace is not None:
-        trace.append(DecodeState(2, "even", (digit,), rem))
+        trace.append(tuple.__new__(DecodeState, (2, "even", (digit,), rem)))
     if rem == 0:
         return _decoded(shape, [digit])
 
@@ -107,7 +109,7 @@ def _decode(shape: TreeShape, m: int, trace: list[DecodeState] | None) -> Vertex
         chain_rems[parity] = rem
         if trace is not None:
             chain = "odd" if parity else "even"
-            trace.append(DecodeState(level, chain, tuple(digits), rem))
+            trace.append(tuple.__new__(DecodeState, (level, chain, tuple(digits), rem)))
         if rem == 0:
             return _decoded(shape, digits)
     raise ConsistencyError(

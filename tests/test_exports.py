@@ -60,6 +60,21 @@ def test_level_form_is_the_only_parity_branch():
     assert branches == []
 
 
+def test_decode_is_the_only_loop_of_inverse():
+    # invert_label and trace_inversion share _decode's one loop; a second
+    # loop in the module would be a copy of the decoder for one of them.
+    path = Path(gracetree.__file__).parent / "inverse.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    looping = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, (ast.For, ast.While))
+    }
+    assert looping == {"_decode"}
+
+
 def test_only_main_prints_errors():
     # Commands raise; cli.main alone turns an error into a stderr line and
     # an exit status.

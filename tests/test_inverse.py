@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gracetree import (
+    DecodeState,
     LabelRangeError,
     build_shape,
     invert_label,
@@ -80,7 +81,9 @@ class TestTraceInversion:
         assert states[0].digits == ()
 
     def test_final_state_matches_invert(self):
-        # The traced and untraced runs of the one decoder agree everywhere.
+        # The traced and untraced runs of the one decoder agree everywhere,
+        # and every state is a real DecodeState, though the decoder builds
+        # it with tuple.__new__.
         for degrees in sweep_degree_sequences(max_levels=5):
             shape = build_shape(degrees)
             for m in range(shape.edge_count + 1):
@@ -89,15 +92,25 @@ class TestTraceInversion:
                 assert not any(s.found for s in states[:-1])
                 assert states[-1].digits == invert_label(shape, m)
                 assert states[-1].level == len(states[-1].digits) + 1
+                for s in states:
+                    assert type(s) is DecodeState
+                    assert DecodeState(*s) == s
+                    assert s.found == (s.remainder == 0)
 
-    def test_remainders_strictly_decrease_per_chain(self, example_shape):
+    def test_remainders_strictly_decrease_per_chain(self):
         # Termination measure: within one chain, the recorded remainder
-        # shrinks on every successive test.
-        for m in range(1, example_shape.edge_count + 1):
-            states = trace_inversion(example_shape, m)
-            for chain in ("even", "odd"):
-                remainders = [s.remainder for s in states if s.chain == chain]
-                assert all(a > b for a, b in zip(remainders, remainders[1:]))
+        # shrinks on every successive test.  Each state's chain follows its
+        # level's parity, and only the level-1 state is the root's.
+        for degrees in sweep_degree_sequences(max_levels=5):
+            shape = build_shape(degrees)
+            for m in range(shape.edge_count + 1):
+                states = trace_inversion(shape, m)
+                for s in states:
+                    assert (s.chain == "even") == (s.level % 2 == 0)
+                    assert (s.chain == "root") == (s.level == 1)
+                for chain in ("even", "odd"):
+                    remainders = [s.remainder for s in states if s.chain == chain]
+                    assert all(a > b for a, b in zip(remainders, remainders[1:]))
 
     def test_mixed_parity_chain_state(self, example_shape):
         # After an odd-level resolution the even chain's partial digits
