@@ -207,16 +207,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         lo, hi = weak.feasible_k_range
         print(f"weak separator interval: [{lo}, {hi}]")
-    if weak.claimed_k is not None:
-        # The closed form guarantees h_2 a feasible separator; other
-        # graceful labellings need not have it.
-        feasible = weak.feasible_k_range
-        if feasible is None or not feasible[0] <= weak.claimed_k <= feasible[1]:
+    if shape.degrees[:1] == (2,):
+        # The closed form guarantees h_2 a feasible separator when the root
+        # has two children; other graceful labellings need not have it.
+        claimed, feasible = shape.level_sizes[1], weak.feasible_k_range
+        if feasible is None or not feasible[0] <= claimed <= feasible[1]:
             raise ConsistencyError(
-                f"separator {weak.claimed_k} not in feasible interval {feasible} "
+                f"separator {claimed} not in feasible interval {feasible} "
                 "although the root has two children"
             )
-        print(f"second-level subtree size {weak.claimed_k} lies in the interval")
+        print(f"second-level subtree size {claimed} lies in the interval")
     print(f"strict separator feasible: {'yes' if weak.strict_alpha_feasible else 'no'}")
     print("result: PASS")
     return EXIT_OK

@@ -6,12 +6,12 @@ level r gets
 
     offset + sign * (x_1*h_2 + x_2*h_3 + ... + x_{r-1}*h_r)
 
-where ``level_form`` gives offset (r - 1)/2 and sign +1 for odd r, and
-offset |E| - (r - 2)/2 and sign -1 for even r; the root, at level 1, gets
-0.  The divisions by 2 are exact for the matching parity of r.  Every edge
-then carries the absolute difference of its endpoint labels.  That this
-assignment is graceful is machine-checked by the verification module
-rather than taken on faith.
+where ``level_form`` gives the weights (h_2, ..., h_r), offset (r - 1)/2
+and sign +1 for odd r, and offset |E| - (r - 2)/2 and sign -1 for even r;
+the root, at level 1, gets 0.  The divisions by 2 are exact for the
+matching parity of r.  Every edge then carries the absolute difference of
+its endpoint labels.  That this assignment is graceful is machine-checked
+by the verification module rather than taken on faith.
 
 Whole trees are labelled in blocks: runs of at most BLOCK vertices of one
 level, contiguous in canonical order, whose labels are one precomputed
@@ -74,16 +74,18 @@ class Block(NamedTuple):
         return product(*zip(self.prefix), *self.ranges)
 
 
-def level_form(shape: TreeShape, level: int) -> tuple[int, int]:
-    """The ``(offset, sign)`` of level ``level``'s labels.
+def level_form(shape: TreeShape, level: int) -> tuple[int, int, tuple[int, ...]]:
+    """The ``(offset, sign, weights)`` of level ``level``'s labels.
 
     Level r labels its vertices ``offset + sign * dot``, where dot is the
-    weighted digit sum x_1*h_2 + ... + x_{r-1}*h_r.  This is the only
-    place that tells odd levels from even ones.
+    digit sum x_1*h_2 + ... + x_{r-1}*h_r weighted by ``weights`` =
+    (h_2, ..., h_r).  This is the only place that tells odd levels from
+    even ones or reads the subtree sizes.
     """
+    weights = shape.level_sizes[1:level]
     if level % 2:
-        return (level - 1) // 2, 1
-    return shape.edge_count - (level - 2) // 2, -1
+        return (level - 1) // 2, 1, weights
+    return shape.edge_count - (level - 2) // 2, -1, weights
 
 
 def label_vertex(shape: TreeShape, vertex: VertexId) -> int:
@@ -92,8 +94,8 @@ def label_vertex(shape: TreeShape, vertex: VertexId) -> int:
     It is ``offset + sign * dot`` from the vertex's ``level_form``; a label
     outside [0, |E|] would mean a bug, not a data error.
     """
-    offset, sign = level_form(shape, validate_vertex(shape, vertex))
-    result = offset + sign * sum(map(mul, vertex, shape.level_sizes[1:]))
+    offset, sign, weights = level_form(shape, validate_vertex(shape, vertex))
+    result = offset + sign * sum(map(mul, vertex, weights))
     if not 0 <= result <= shape.edge_count:
         raise ConsistencyError(
             f"label {result} for vertex {vertex} outside [0, {shape.edge_count}]"
@@ -112,17 +114,15 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
     costs two C-level maps per block and memory never depends on the
     vertex count, however long a sibling run is.
     """
-    yield Block((), (), [0], None)
-    degrees = shape.degrees
-    sizes = shape.level_sizes
+    root, _, _ = level_form(shape, 1)
+    yield Block((), (), [root], None)
     for level in range(2, shape.levels + 1):
         width = level - 1
-        weights = sizes[1:level]  # digit i multiplies h_{i+2}
-        # The parent's weighted sum drops the child digit.
-        parent_weights = weights[:-1] + (0,)
-        radices = degrees[:width]
-        base, sign = level_form(shape, level)
-        parent_base, parent_sign = level_form(shape, level - 1)
+        radices = shape.degrees[:width]
+        base, sign, weights = level_form(shape, level)
+        parent_base, parent_sign, parent_weights = level_form(shape, level - 1)
+        # The parent's weighted sum has no child digit.
+        parent_weights += (0,)
         split, span = width - 1, 1
         while split > 0 and span * radices[split] <= BLOCK:
             span *= radices[split]

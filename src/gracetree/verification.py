@@ -9,7 +9,9 @@ checks its structure; the root's run is read first.  A later run whose
 children all lie on one side of their parents is marked through two
 integer masks; any other is checked record by record and takes its
 separator ends from whole-run extremes.  The report's flags follow from
-the kinds of counterexample found.
+the kinds of counterexample found.  The complement |E| - f of a graceful
+labelling f is graceful too, so no check here tells the closed form from
+the closed form with its parities swapped; decoding its labels does.
 Paths have their own zig-zag oracle; small shapes can be searched exhaustively.
 """
 
@@ -62,16 +64,13 @@ class WeaklyAlphaReport:
 
     ``feasible_k_range`` is the closed interval of integers k such that
     every edge has min(end labels) <= k <= max(end labels), or None when
-    no such k exists.  ``claimed_k`` is the second-level subtree size for
-    shapes whose root has exactly two children, absent otherwise; the
-    closed-form labelling guarantees it to be feasible, other graceful
-    labellings need not.
+    no such k exists; with no edges it is (0, 0).
     ``strict_alpha_feasible`` reports whether some k separates every edge
-    strictly (min <= k < max); it is reported, never asserted.
+    strictly (min <= k < max), which every k does when there are no edges;
+    it is reported, never asserted.
     """
 
     feasible_k_range: tuple[int, int] | None
-    claimed_k: int | None
     strict_alpha_feasible: bool
 
 
@@ -237,12 +236,7 @@ def verify_with_weak_alpha(
     )
     if not report.passed:
         return report, None
-    if edge_count == 0:
-        # No edges: every k works; report the full label range.
-        return report, WeaklyAlphaReport((0, 0), None, True)
-    feasible = (lo, hi) if lo <= hi else None
-    claimed = shape.level_sizes[1] if shape.degrees[0] == 2 else None
-    return report, WeaklyAlphaReport(feasible, claimed, lo < hi)
+    return report, WeaklyAlphaReport((lo, hi) if lo <= hi else None, lo < hi or not edge_count)
 
 
 def brute_force_graceful(

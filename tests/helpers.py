@@ -135,10 +135,9 @@ def reference_reports(degrees, assignment):
     if not report.passed:
         return report, None
     if edge_count == 0:
-        return report, WeaklyAlphaReport((0, 0), None, True)
+        return report, WeaklyAlphaReport((0, 0), True)
     lo, hi = max(smaller_ends), min(larger_ends)
-    claimed = subtree_size_by_products(degrees, 2) if degrees[0] == 2 else None
-    return report, WeaklyAlphaReport((lo, hi) if lo <= hi else None, claimed, lo < hi)
+    return report, WeaklyAlphaReport((lo, hi) if lo <= hi else None, lo < hi)
 
 
 # Faulty record streams for (2,3,4), each a stand-in for label_all.  The

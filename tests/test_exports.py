@@ -60,6 +60,38 @@ def test_level_form_is_the_only_parity_branch():
     assert branches == []
 
 
+def test_level_form_is_the_only_reader_of_subtree_sizes():
+    # The closed form's weights come from labelling.level_form alone;
+    # another read of level_sizes in the module slices them a second time.
+    path = Path(gracetree.__file__).parent / "labelling.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def reads(root):
+        return [
+            node.lineno
+            for node in ast.walk(root)
+            if isinstance(node, ast.Attribute) and node.attr == "level_sizes"
+        ]
+
+    (level_form,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "level_form"
+    ]
+    assert reads(tree) == reads(level_form) != []
+
+
+def test_verification_reads_no_degrees_or_sizes():
+    # The verifier knows nothing of the closed form: what it may claim of a
+    # shape's degrees or subtree sizes belongs to the closed form's callers.
+    path = Path(gracetree.__file__).parent / "verification.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [
+        f"{node.attr}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("degrees", "level_sizes")
+    ]
+    assert reads == []
+
+
 def test_decode_is_the_only_loop_of_inverse():
     # invert_label and trace_inversion share _decode's one loop; a second
     # loop in the module would be a copy of the decoder for one of them.
