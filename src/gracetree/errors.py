@@ -22,7 +22,7 @@ class LabelRangeError(ValueError):
 
 
 class LabellingStreamError(ValueError):
-    """A labelling stream did not cover the tree exactly once in canonical order."""
+    """A labelling stream or assignment does not fit the tree's vertex counts and ids."""
 
 
 class SearchCapError(ValueError):

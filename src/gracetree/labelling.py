@@ -16,9 +16,11 @@ by the verification module rather than taken on faith.
 Whole trees are labelled in blocks: runs of at most BLOCK vertices of one
 level, contiguous in canonical order, whose labels are one precomputed
 offset table shifted by a per-block base.  ``label_blocks`` is the core;
-``label_all`` expands it into one record per vertex.  ``level_runs`` cuts
-a record stream back into runs of one level for the verifier and the
-writers, and checks that it covers the tree once in canonical order.
+``label_all`` pairs its labels with the ids of ``enumerate_vertices``, one
+record per vertex.  ``level_runs`` cuts a record stream back into runs of
+one level for the verifier and the writers.  It checks the root record,
+each level's record count and id length, and that every other record
+has a parent label; it does not check which ids a level holds.
 """
 
 from __future__ import annotations
@@ -51,27 +53,16 @@ class LabelledVertex(NamedTuple):
 
 
 class Block(NamedTuple):
-    """A run of vertices of one level, contiguous in canonical order.
+    """The labels of a run of vertices of one level, contiguous in canonical order.
 
-    The vertices are ``prefix + suffix`` for every ``suffix`` in
-    ``itertools.product(*ranges)``, in that order; ``labels[i]`` and
-    ``parent_labels[i]`` belong to the i-th of them.  Only the root's
-    one-vertex block has ``parent_labels`` None.
+    ``labels[i]`` and ``parent_labels[i]`` belong to the i-th vertex of the
+    run; the blocks concatenate to the order of ``enumerate_vertices``, so a
+    block's vertices are found by position.  Only the root's one-vertex
+    block has ``parent_labels`` None.
     """
 
-    prefix: VertexId
-    ranges: tuple[range, ...]
     labels: list[int]
     parent_labels: list[int] | None
-
-    def vertices(self) -> Iterator[VertexId]:
-        """The block's vertex ids, built only when asked for.
-
-        Each id is one tuple from ``itertools.product``, which takes every
-        prefix digit from a one-value tuple, so no prefix is concatenated
-        to a suffix per vertex.
-        """
-        return product(*zip(self.prefix), *self.ranges)
 
 
 def level_form(shape: TreeShape, level: int) -> tuple[int, int, tuple[int, ...]]:
@@ -115,7 +106,7 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
     vertex count, however long a sibling run is.
     """
     root, _, _ = level_form(shape, 1)
-    yield Block((), (), [root], None)
+    yield Block([root], None)
     for level in range(2, shape.levels + 1):
         width = level - 1
         radices = shape.degrees[:width]
@@ -128,7 +119,6 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
             span *= radices[split]
             split -= 1
         chunk = min(BLOCK // span, radices[split])
-        full_ranges = tuple(map(range, radices[split + 1:]))
         # Signed offsets of every vertex of a chunk that starts at split
         # digit 0, for its label and for its parent's label.
         dots, parent_dots = [0], [0]
@@ -148,8 +138,6 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
                 label_shift = base + sign * (dot + first * weights[split])
                 parent_shift = parent_base + parent_sign * (dot + first * parent_weights[split])
                 yield Block(
-                    prefix,
-                    (range(first, last),) + full_ranges,
                     list(map(add, repeat(label_shift), dots[:size])),
                     list(map(add, repeat(parent_shift), parent_dots[:size])),
                 )
@@ -158,21 +146,23 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
 def label_all(shape: TreeShape) -> Iterator[LabelledVertex]:
     """Stream one record per vertex in canonical breadth-first order.
 
-    The root record carries no parent label.  Records are the expansion
-    of ``label_blocks``, built by C-level maps with no Python frame per
-    record, so memory never depends on the vertex count.
+    The root record carries no parent label.  Each block of
+    ``label_blocks`` takes as many ids from one shared
+    ``enumerate_vertices`` iterator as it has labels; records are built by
+    C-level maps with no Python frame per record, so memory never depends
+    on the vertex count.
     """
-    return chain.from_iterable(map(_block_records, label_blocks(shape)))
-
-
-def _block_records(block: Block) -> Iterator[LabelledVertex]:
+    vertices = enumerate_vertices(shape)
     # tuple.__new__ builds each record without the Python-level __new__
-    # of a NamedTuple.
-    parents = block.parent_labels or (None,)
-    return map(
-        tuple.__new__,
-        repeat(LabelledVertex),
-        zip(block.vertices(), block.labels, parents),
+    # of a NamedTuple.  islice comes first in zip, so zip stops on it
+    # without pulling an id that belongs to the next block.
+    return chain.from_iterable(
+        map(
+            tuple.__new__,
+            repeat(LabelledVertex),
+            zip(islice(vertices, len(labels)), labels, parents or (None,)),
+        )
+        for labels, parents in label_blocks(shape)
     )
 
 
@@ -182,7 +172,9 @@ def level_runs(shape: TreeShape, records: Iterable[LabelledVertex]) -> Iterator[
     Yields ``(width, vertices, labels, parent_labels)``, a run's records
     taken apart into fields; the root is the single run of width 0.  Raises
     LabellingStreamError unless the stream is the root record (id ``()``, no
-    parent label), then every level in full with parent labels, then nothing.
+    parent label), then each level's vertex count of records with ids of
+    that level's length and parent labels, then nothing.  Which ids a level
+    holds is not checked.
     """
     records = iter(records)
     vertex, label, parent_label = next(records, (None, None, None))
@@ -208,13 +200,12 @@ def level_runs(shape: TreeShape, records: Iterable[LabelledVertex]) -> Iterator[
 
 
 def enumerate_vertices(shape: TreeShape) -> Iterator[VertexId]:
-    """Yield every vertex in breadth-first order.
+    """Iterate over every vertex id in breadth-first order, with no Python frame per id.
 
     Level by level, and within a level in lexicographic order of the
     child-index sequences.  This is the canonical order for all outputs.
     """
-    for width in range(shape.levels):
-        yield from product(*map(range, shape.degrees[:width]))
+    return chain.from_iterable(product(*map(range, shape.degrees[:w])) for w in range(shape.levels))
 
 
 def records_from_assignment(

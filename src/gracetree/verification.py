@@ -164,9 +164,11 @@ def verify_with_weak_alpha(
 
     Vertex labels must be pairwise distinct within [0, |E|] and the
     induced edge labels pairwise distinct within [1, |E|]; together that
-    forces the edge labels to be exactly {1, ..., |E|}.  The stream must
-    cover every vertex once in canonical level order, else
-    LabellingStreamError; its parent labels are taken as given.
+    forces the edge labels to be exactly {1, ..., |E|}.  ``level_runs``
+    raises LabellingStreamError unless the stream starts with the root
+    record and holds each level's vertex count of ids of that level's
+    length, each with a parent label; which ids those are is not checked,
+    and parent labels are taken as given.
 
     The root's run is read first: its label goes into empty bitmaps, so it
     can only be out of range.  Every later run of ``level_runs`` goes to

@@ -1,6 +1,8 @@
 """Closed-form vertex labels, edge labels, and the streaming labeller."""
 
-from itertools import chain, islice, product
+import inspect
+from itertools import accumulate, chain, islice, product
+from operator import mul
 
 import pytest
 
@@ -116,6 +118,22 @@ class TestLabelAll:
             with pytest.raises(StopIteration):
                 next(order)
 
+    @pytest.mark.parametrize("degrees", [(10**6,), (5000, 3)])
+    def test_ids_stay_in_step_across_blocks(self, degrees):
+        # The first records cross three block boundaries: a zip that pulled
+        # an id past the end of each block would drift by one id per block.
+        shape = build_shape(degrees)
+        count = 3 * BLOCK + 2
+        records = list(islice(label_all(shape), count))
+        assert [r.vertex for r in records] == list(islice(enumerate_vertices(shape), count))
+        assert [r.label for r in records] == [label_vertex(shape, r.vertex) for r in records]
+
+    def test_streams_are_not_generators(self):
+        # No generator frame is resumed per record or per id.
+        shape = build_shape((2, 3, 4))
+        assert not inspect.isgenerator(label_all(shape))
+        assert not inspect.isgenerator(enumerate_vertices(shape))
+
 
 def canonical_order(degrees):
     """Every vertex level by level, each level in lexicographic order."""
@@ -124,35 +142,40 @@ def canonical_order(degrees):
     )
 
 
+def paired_blocks(shape):
+    """Each block of label_blocks with the ids of enumerate_vertices it covers."""
+    vertices = enumerate_vertices(shape)
+    for block in label_blocks(shape):
+        yield list(islice(vertices, len(block.labels))), block
+
+
 class TestLabelBlocks:
     @pytest.mark.parametrize("degrees", [(5000, 3), (3, 5000), (1,) * 60, (2, 3, 4)])
     def test_partition(self, degrees):
-        # Blocks hold at most BLOCK vertices of one level and concatenate
-        # to the canonical order.
+        # Blocks hold 1..BLOCK labels of one level: paired by position with
+        # the canonical order, each covers ids of one length, and the
+        # running lengths hit every level boundary.
         shape = build_shape(degrees)
-        blocks = list(label_blocks(shape))
-        for block in blocks:
-            vertices = list(block.vertices())
-            assert 1 <= len(vertices) <= BLOCK
-            assert len(block.labels) == len(vertices)
-            assert {len(vertex) for vertex in vertices} == {
-                len(block.prefix) + len(block.ranges)
-            }
+        pairs = list(paired_blocks(shape))
+        for vertices, block in pairs:
+            assert 1 <= len(block.labels) == len(vertices) <= BLOCK
+            assert len({len(vertex) for vertex in vertices}) == 1
             assert (block.parent_labels is None) == (vertices == [()])
             if block.parent_labels is not None:
-                assert len(block.parent_labels) == len(vertices)
-        streamed = chain.from_iterable(block.vertices() for block in blocks)
+                assert len(block.parent_labels) == len(block.labels)
+        ends = set(accumulate(len(block.labels) for _, block in pairs))
+        level_counts = accumulate((1,) + degrees, mul)
+        assert set(accumulate(level_counts)) <= ends
+        streamed = chain.from_iterable(vertices for vertices, _ in pairs)
         assert list(streamed) == list(canonical_order(degrees))
 
     def test_long_sibling_run_is_split(self):
         # A million children of the root: only the first blocks are built.
         shape = build_shape((10**6,))
         root, *firsts = islice(label_blocks(shape), 4)
-        assert list(root.vertices()) == [()]
-        assert root.parent_labels is None
+        assert root == ([0], None)
         for index, block in enumerate(firsts):
-            vertices = list(block.vertices())
-            assert vertices == [(x,) for x in range(index * BLOCK, (index + 1) * BLOCK)]
+            vertices = [(x,) for x in range(index * BLOCK, (index + 1) * BLOCK)]
             assert block.labels == [label_vertex(shape, v) for v in vertices]
             assert block.parent_labels == [0] * BLOCK
 
@@ -162,8 +185,7 @@ class TestLabelBlocks:
         # TestLabelAll.test_agrees_with_pointwise_over_sweep).
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
-            for block in label_blocks(shape):
-                vertices = list(block.vertices())
+            for vertices, block in paired_blocks(shape):
                 assert block.labels == [label_vertex(shape, v) for v in vertices]
                 if block.parent_labels is not None:
                     assert block.parent_labels == [
@@ -173,14 +195,12 @@ class TestLabelBlocks:
     def test_records_expand_blocks(self):
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
-            expanded = [
-                (vertex, label, parent)
-                for block in label_blocks(shape)
-                for vertex, label, parent in zip(
-                    block.vertices(), block.labels, block.parent_labels or [None]
-                )
-            ]
+            blocks = list(label_blocks(shape))
+            labels = chain.from_iterable(block.labels for block in blocks)
+            parents = chain.from_iterable(block.parent_labels or [None] for block in blocks)
+            expanded = list(zip(enumerate_vertices(shape), labels, parents))
             records = list(label_all(shape))
+            assert len(expanded) == shape.vertex_count, degrees
             assert records == expanded, degrees
             assert all(type(r) is LabelledVertex for r in records), degrees
 
