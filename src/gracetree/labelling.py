@@ -97,13 +97,10 @@ def label_vertex(shape: TreeShape, vertex: VertexId) -> int:
 def label_blocks(shape: TreeShape) -> Iterator[Block]:
     """Stream the closed-form labelling as blocks in canonical order.
 
-    Per level, the lowest digits whose combinations fit in BLOCK are
-    expanded in full, and the digit above them (the split digit) in chunks
-    of as many values as still fit; one offset table of weighted digit sums
-    covers every block of the level.  ``itertools.product`` walks the
-    remaining high digits, whose weighted sum moves the base, so labelling
-    costs two C-level maps per block and memory never depends on the
-    vertex count, however long a sibling run is.
+    Each level is cut into blocks at its split digit (``_split_digit``),
+    and one offset table of weighted digit sums covers all of them; the
+    digits above the split digit move the base, so labelling costs two
+    C-level maps per block and memory never depends on the vertex count.
     """
     root, _, _ = level_form(shape, 1)
     yield Block([root], None)
@@ -114,11 +111,7 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
         parent_base, parent_sign, parent_weights = level_form(shape, level - 1)
         # The parent's weighted sum has no child digit.
         parent_weights += (0,)
-        split, span = width - 1, 1
-        while split > 0 and span * radices[split] <= BLOCK:
-            span *= radices[split]
-            split -= 1
-        chunk = min(BLOCK // span, radices[split])
+        split, span, chunk = _split_digit(radices)
         # Signed offsets of every vertex of a chunk that starts at split
         # digit 0, for its label and for its parent's label.
         dots, parent_dots = [0], [0]
@@ -130,7 +123,7 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
             ]
         # Each setting of the digits above the split digit is the shared
         # prefix of one run of chunks.
-        for prefix in product(*map(range, radices[:split])):
+        for prefix in _level_ids(radices[:split]):
             dot = sum(map(mul, prefix, weights))
             for first in range(0, radices[split], chunk):
                 last = min(first + chunk, radices[split])
@@ -141,6 +134,32 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
                     list(map(add, repeat(label_shift), dots[:size])),
                     list(map(add, repeat(parent_shift), parent_dots[:size])),
                 )
+
+
+def _split_digit(radices: tuple[int, ...]) -> tuple[int, int, int]:
+    # ``(split, span, chunk)`` for ids with digit radices ``radices``: the
+    # ``span`` settings of the digits after index ``split`` fit in BLOCK, and
+    # the split digit goes in chunks of ``chunk`` values.
+    split, span = len(radices) - 1, 1
+    while split > 0 and span * radices[split] <= BLOCK:
+        span *= radices[split]
+        split -= 1
+    return split, span, min(BLOCK // span, radices[split])
+
+
+def _level_ids(radices: tuple[int, ...]) -> Iterator[VertexId]:
+    # The ids with digit radices ``radices`` in lexicographic order, one
+    # ``product`` per block.  ``product`` copies every range it is given, so
+    # the digits above the split digit come from this function again.
+    if not radices:
+        return iter(((),))
+    split, _, chunk = _split_digit(radices)
+    low = tuple(map(range, radices[split + 1:]))
+    return chain.from_iterable(
+        product(*zip(prefix), range(first, min(first + chunk, radices[split])), *low)
+        for prefix in _level_ids(radices[:split])
+        for first in range(0, radices[split], chunk)
+    )
 
 
 def label_all(shape: TreeShape) -> Iterator[LabelledVertex]:
@@ -200,12 +219,14 @@ def level_runs(shape: TreeShape, records: Iterable[LabelledVertex]) -> Iterator[
 
 
 def enumerate_vertices(shape: TreeShape) -> Iterator[VertexId]:
-    """Iterate over every vertex id in breadth-first order, with no Python frame per id.
+    """Iterate over every vertex id in breadth-first order.
 
     Level by level, and within a level in lexicographic order of the
     child-index sequences.  This is the canonical order for all outputs.
+    One ``itertools.product`` per block, so no Python frame runs per id
+    and memory never depends on the vertex count.
     """
-    return chain.from_iterable(product(*map(range, shape.degrees[:w])) for w in range(shape.levels))
+    return chain.from_iterable(_level_ids(shape.degrees[:width]) for width in range(shape.levels))
 
 
 def records_from_assignment(

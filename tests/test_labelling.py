@@ -1,6 +1,5 @@
 """Closed-form vertex labels, edge labels, and the streaming labeller."""
 
-import inspect
 from itertools import accumulate, chain, islice, product
 from operator import mul
 
@@ -18,7 +17,7 @@ from gracetree import (
     label_vertex,
     records_from_assignment,
 )
-from gracetree.labelling import CHUNK, level_runs
+from gracetree.labelling import CHUNK, _level_ids, level_runs
 from helpers import (
     EXAMPLE_DEGREES,
     EXAMPLE_LABELS,
@@ -118,21 +117,24 @@ class TestLabelAll:
             with pytest.raises(StopIteration):
                 next(order)
 
-    @pytest.mark.parametrize("degrees", [(10**6,), (5000, 3)])
+    @pytest.mark.parametrize(
+        "degrees", [(10**6,), (5000, 3), (2**40,), (2, 2**40), (2**64 - 2,)]
+    )
     def test_ids_stay_in_step_across_blocks(self, degrees):
         # The first records cross three block boundaries: a zip that pulled
         # an id past the end of each block would drift by one id per block.
+        # A sibling run of 2**40 or more would fail at once if its range
+        # were ever handed to itertools.product, which copies it.
         shape = build_shape(degrees)
         count = 3 * BLOCK + 2
         records = list(islice(label_all(shape), count))
         assert [r.vertex for r in records] == list(islice(enumerate_vertices(shape), count))
         assert [r.label for r in records] == [label_vertex(shape, r.vertex) for r in records]
 
-    def test_streams_are_not_generators(self):
-        # No generator frame is resumed per record or per id.
-        shape = build_shape((2, 3, 4))
-        assert not inspect.isgenerator(label_all(shape))
-        assert not inspect.isgenerator(enumerate_vertices(shape))
+    def test_prefixes_hold_no_sibling_run(self):
+        # Two digits of 2**40 values each: the digit above the split digit
+        # is itself too wide to copy, as on level 3 of (2**30, 2**30).
+        assert list(islice(_level_ids((2**40, 2**40)), 3)) == [(0, 0), (0, 1), (0, 2)]
 
 
 def canonical_order(degrees):
