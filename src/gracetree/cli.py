@@ -1,6 +1,7 @@
 """Command-line interface: label, invert, verify, oracle-compare.
 
-``label`` only exports records; ``verify`` streams them into the verifier.
+``label`` exports records, checking that their ids are the canonical ones
+and naming them by position; ``verify`` streams them into the verifier.
 
 Exit status contract, stable for scripting: 0 success/pass, 1 verification
 failure, 2 usage or input error, 3 capacity overflow (including a shape
@@ -16,8 +17,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from itertools import groupby, repeat
-from operator import add, itemgetter, sub
+from itertools import chain, islice, repeat
+from operator import sub
 
 from .errors import (
     CapacityError,
@@ -29,7 +30,8 @@ from .errors import (
     SearchCapError,
 )
 from .inverse import DecodeState, invert_label, trace_inversion
-from .labelling import label_all, level_runs, records_from_assignment
+from .labelling import _level_text, enumerate_vertices, label_all, level_runs
+from .labelling import records_from_assignment
 from .shape import TreeShape, build_shape, format_vertex, integer, parse_degree_sequence
 from .verification import (
     brute_force_graceful,
@@ -77,21 +79,26 @@ def _print_counterexamples(report, limit: int = 10) -> None:
 
 
 def _runs(shape: TreeShape):
-    """Yield ``(width, vertices, labels, parent_labels, edge_labels)`` for
+    """Yield ``(width, names, labels, parent_labels, edge_labels)`` for
     each ``level_runs`` run of ``label_all(shape)`` after the root's, whose
-    label must be 0: the writers' headers print it.
+    label must be 0: the writers' headers print it.  A run's ids must be the
+    next of ``enumerate_vertices``, so its ``names`` come from ``_level_text``.
     """
     runs = level_runs(shape, label_all(shape))
     (root_label,) = next(runs)[2]
     if root_label != 0:
         raise LabellingStreamError(f"label stream has root label {root_label}, not 0")
+    ids = islice(enumerate_vertices(shape), 1, None)
+    texts = chain.from_iterable(_level_text(shape.degrees[:w]) for w in range(1, shape.levels))
     for width, vertices, labels, parents in runs:
-        yield width, vertices, labels, parents, map(abs, map(sub, labels, parents))
+        if vertices != tuple(islice(ids, len(vertices))):
+            raise LabellingStreamError(f"label stream has wrong ids at level {width + 1}")
+        names = list(islice(texts, len(vertices)))
+        yield width, names, labels, parents, map(abs, map(sub, labels, parents))
 
 
 def _write_table(shape: TreeShape, out) -> None:
-    deepest = tuple(k - 1 for k in shape.degrees)
-    vw = max(len("vertex"), len(format_vertex(deepest)))
+    vw = max(len("vertex"), len(format_vertex([k - 1 for k in shape.degrees])))
     lw = max(len("label"), len(str(shape.edge_count)))
     rw = max(len("level"), len(str(shape.levels)))
     pw = max(len("parent_label"), lw)
@@ -101,21 +108,18 @@ def _write_table(shape: TreeShape, out) -> None:
         f"{'parent_label':>{pw}}  {'edge_label':>{ew}}\n"
         f"{'()':<{vw}}  {1:>{rw}}  {0:>{lw}}  {'-':>{pw}}  {'-':>{ew}}\n"
     )
-    for width, vertices, labels, parents, edges in _runs(shape):
-        names = map(format_vertex(("%d",) * width).__mod__, vertices)
+    for width, names, labels, parents, edges in _runs(shape):
         row = f"%-{vw}s  {width + 1:>{rw}}  %{lw}d  %{pw}d  %{ew}d\n"
         out.write("".join(map(row.__mod__, zip(names, labels, parents, edges))))
 
 
 def _write_csv(shape: TreeShape, out) -> None:
     out.write("vertex,level,label,parent_label,edge_label\n(),1,0,,\n")
-    for width, vertices, labels, parents, edges in _runs(shape):
+    for width, names, labels, parents, edges in _runs(shape):
         # An id with two or more digits holds a comma, so it is quoted.
-        name = format_vertex(("%d",) * width)
-        name = name if width == 1 else f'"{name}"'
+        name = "%s" if width == 1 else '"%s"'
         row = f"{name},{width + 1},%d,%d,%d\n"
-        fields = map(add, vertices, zip(labels, parents, edges))
-        out.write("".join(map(row.__mod__, fields)))
+        out.write("".join(map(row.__mod__, zip(names, labels, parents, edges))))
 
 
 def _write_json(shape: TreeShape, out) -> None:
@@ -125,39 +129,31 @@ def _write_json(shape: TreeShape, out) -> None:
         f'{shape.vertex_count}, "edge_count": {shape.edge_count}, "records": [\n'
         '{"vertex": "()", "level": 1, "label": 0, "parent_label": null, "edge_label": null}'
     )
-    for width, vertices, labels, parents, edges in _runs(shape):
+    for width, names, labels, parents, edges in _runs(shape):
         # Vertex text is digits, commas and parentheses: nothing to escape.
         row = (
-            f',\n{{"vertex": "{format_vertex(("%d",) * width)}", "level": {width + 1}, '
+            f',\n{{"vertex": "%s", "level": {width + 1}, '
             '"label": %d, "parent_label": %d, "edge_label": %d}'
         )
-        fields = map(add, vertices, zip(labels, parents, edges))
-        out.write("".join(map(row.__mod__, fields)))
+        out.write("".join(map(row.__mod__, zip(names, labels, parents, edges))))
     out.write("\n]}\n")
 
 
 def _write_dot(shape: TreeShape, out) -> None:
     out.write('digraph labelled_tree {\n  "()" [label="0"];\n')
-    for width, vertices, labels, parents, edges in _runs(shape):
-        name, parent = format_vertex(("%d",) * width), format_vertex(("%d",) * (width - 1))
-        names = list(map(name.__mod__, vertices))
-        # Consecutive siblings share a parent, named once per group.
-        parent_names = [
-            parent_name
-            for key, siblings in groupby(vertices, itemgetter(slice(-1)))
-            for parent_name in repeat(parent % key, len(list(siblings)))
-        ]
+    # Each name of the level above, once for each of its children.
+    parent_names = chain.from_iterable(
+        chain.from_iterable(map(repeat, _level_text(shape.degrees[:w]), repeat(k)))
+        for w, k in enumerate(shape.degrees)
+    )
+    for _, names, labels, parents, edges in _runs(shape):
         row = '  "%s" [label="%d"];\n  "%s" -> "%s" [label="%d"];\n'
-        out.write("".join(map(row.__mod__, zip(names, labels, parent_names, names, edges))))
+        fields = zip(names, labels, islice(parent_names, len(names)), names, edges)
+        out.write("".join(map(row.__mod__, fields)))
     out.write("}\n")
 
 
-_WRITERS = {
-    "table": _write_table,
-    "csv": _write_csv,
-    "json": _write_json,
-    "dot": _write_dot,
-}
+_WRITERS = {"table": _write_table, "csv": _write_csv, "json": _write_json, "dot": _write_dot}
 
 
 def cmd_label(args: argparse.Namespace) -> int:

@@ -30,7 +30,7 @@ from operator import add, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConsistencyError, LabellingStreamError
-from .shape import TreeShape, VertexId, validate_vertex
+from .shape import TreeShape, VertexId, format_vertex, validate_vertex
 
 # Most vertices in one block.  The offset tables grow with it, while each
 # block's fixed cost is spread over more vertices.
@@ -159,6 +159,20 @@ def _level_ids(radices: tuple[int, ...]) -> Iterator[VertexId]:
         product(*zip(prefix), range(first, min(first + chunk, radices[split])), *low)
         for prefix in _level_ids(radices[:split])
         for first in range(0, radices[split], chunk)
+    )
+
+
+def _level_text(radices: tuple[int, ...]) -> Iterator[str]:
+    # ``format_vertex`` of each id of ``_level_ids(radices)``: the text after
+    # the split digit (",3,1)") is built once and follows every head ("(0,2").
+    if not radices:
+        return iter(("()",))
+    split = _split_digit(radices)[0]
+    digits = (list(map(",%d".__mod__, range(k))) for k in radices[split + 1:])
+    tails = list(map(add, map("".join, product(*digits)), repeat(")")))
+    return chain.from_iterable(
+        map(add, repeat(format_vertex(prefix)[:-1]), tails)
+        for prefix in _level_ids(radices[: split + 1])
     )
 
 

@@ -185,6 +185,16 @@ def _no_parent_label(shape):
     return iter(records)
 
 
+def _renamed_id(shape):
+    # Record 1, vertex (0,), renamed (1,): level 2 names (1,) twice and (0,)
+    # never.  Counts and id lengths still fit, so only an exact id check,
+    # which the writers make and the verifier does not, sees it.
+    records = list(label_all(shape))
+    _, label, parent_label = records[1]
+    records[1] = LabelledVertex((1,), label, parent_label)
+    return iter(records)
+
+
 STREAM_FAULTS = [
     (_drop_root, "does not start with the root record"),
     (_root_with_parent_label, "does not start with the root record"),

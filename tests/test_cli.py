@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import zip_longest
 
 import pytest
 
@@ -24,6 +25,7 @@ from gracetree.cli import main
 from helpers import (
     EXAMPLE_LABELS,
     STREAM_FAULTS,
+    _renamed_id,
     _wrong_root,
     reference_export,
     sweep_degree_sequences,
@@ -35,8 +37,9 @@ ERROR_CLASSES = [
     for value in vars(errors).values()
     if isinstance(value, type) and value.__module__ == errors.__name__
 ]
-# Levels longer than one run of the writers, levels that end mid-run, and
-# child indices of several digits.
+# Levels longer than one run of the writers, levels that end mid-run, child
+# indices of several digits, and levels of BLOCK (1024) vertices or just
+# past it, where blocks and the writers' vertex text are cut.
 RUN_EDGE_SHAPES = [
     (),
     (1,),
@@ -46,6 +49,11 @@ RUN_EDGE_SHAPES = [
     (3000, 2),
     (12, 11, 13),
     (10,) * 4,
+    (1024,),
+    (1025,),
+    (2, 512),
+    (2, 513),
+    (32, 32, 2),
 ]
 
 
@@ -163,6 +171,17 @@ class TestLabelOutput:
             assert (code, err) == (0, "")
             assert out == reference_export(build_shape(degrees), fmt), degrees
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_matches_reference_on_export_benchmark_shape(self, capsys, fmt):
+        # The benchmark checks these outputs by SHA-256; a writer slip
+        # should fail here first.  Line by line, since pytest's diff of two
+        # texts of megabytes would not end.
+        code, out, err = run(capsys, "label", "2,3,4,5,6,7,8", "--format", fmt)
+        assert (code, err) == (0, "")
+        expected = reference_export(build_shape((2, 3, 4, 5, 6, 7, 8)), fmt)
+        for number, (line, want) in enumerate(zip_longest(out.split("\n"), expected.split("\n"))):
+            assert line == want, number
+
     @staticmethod
     def expected_fields(shape):
         return [
@@ -234,7 +253,11 @@ class TestLabelStreamGuard:
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize(
         "stream, message",
-        [(_wrong_root, "label stream has root label 1, not 0")] + STREAM_FAULTS,
+        [(_wrong_root, "label stream has root label 1, not 0")]
+        + STREAM_FAULTS
+        # The writers take vertex text by position, so they check every id;
+        # the verifier does not.
+        + [(_renamed_id, "label stream has wrong ids at level 2")],
     )
     def test_fault(self, capsys, monkeypatch, fmt, stream, message):
         monkeypatch.setattr(cli, "label_all", stream)

@@ -1,6 +1,7 @@
 """Closed-form vertex labels, edge labels, and the streaming labeller."""
 
 from itertools import accumulate, chain, islice, product
+from math import prod
 from operator import mul
 
 import pytest
@@ -12,12 +13,13 @@ from gracetree import (
     LabellingStreamError,
     build_shape,
     enumerate_vertices,
+    format_vertex,
     label_all,
     label_blocks,
     label_vertex,
     records_from_assignment,
 )
-from gracetree.labelling import CHUNK, _level_ids, level_runs
+from gracetree.labelling import CHUNK, _level_ids, _level_text, level_runs
 from helpers import (
     EXAMPLE_DEGREES,
     EXAMPLE_LABELS,
@@ -135,6 +137,27 @@ class TestLabelAll:
         # Two digits of 2**40 values each: the digit above the split digit
         # is itself too wide to copy, as on level 3 of (2**30, 2**30).
         assert list(islice(_level_ids((2**40, 2**40)), 3)) == [(0, 0), (0, 1), (0, 2)]
+
+
+class TestLevelText:
+    def test_matches_format_vertex(self):
+        # The sweep, and levels of BLOCK vertices or just past it.
+        cuts = [(1024,), (1025,), (2, 512), (2, 513), (32, 32, 2)]
+        for degrees in sweep_degree_sequences() + cuts:
+            ids = enumerate_vertices(build_shape(degrees))
+            for width in range(len(degrees) + 1):
+                expected = map(format_vertex, islice(ids, prod(degrees[:width])))
+                assert list(_level_text(degrees[:width])) == list(expected), (degrees, width)
+
+    @pytest.mark.parametrize("degrees", [(2**40,), (2, 2**40)])
+    def test_deepest_level_holds_no_sibling_run(self, degrees):
+        # As in TestLabelAll: the text of a level cut at the wrong digit
+        # would take a sibling run of 2**40 names.
+        shape = build_shape(degrees)
+        count = 3 * BLOCK + 2
+        start = shape.vertex_count - prod(degrees)
+        ids = islice(enumerate_vertices(shape), start, start + count)
+        assert list(islice(_level_text(degrees), count)) == list(map(format_vertex, ids))
 
 
 def canonical_order(degrees):
