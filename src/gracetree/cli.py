@@ -29,7 +29,7 @@ from .errors import (
     LabellingStreamError,
     SearchCapError,
 )
-from .inverse import DecodeState, invert_label, trace_inversion
+from .inverse import DecodeState, _decode
 from .labelling import _level_text, enumerate_vertices, label_all, level_runs
 from .labelling import records_from_assignment
 from .shape import TreeShape, build_shape, format_vertex, integer, parse_degree_sequence
@@ -173,13 +173,9 @@ def _describe_state(state: DecodeState) -> str:
 
 def cmd_invert(args: argparse.Namespace) -> int:
     shape = _shape_from(args)
-    if args.trace:
-        states = trace_inversion(shape, args.label)
-        for state in states:
-            print(_describe_state(state))
-        vertex = states[-1].digits
-    else:
-        vertex = invert_label(shape, args.label)
+    # Each state is printed as it is made, so a trace holds O(q) digits.
+    emit = (lambda state: print(_describe_state(state))) if args.trace else None
+    vertex = _decode(shape, args.label, emit)
     print(f"{format_vertex(vertex)} level {len(vertex) + 1}")
     return EXIT_OK
 

@@ -13,9 +13,10 @@ The chains state the closed form a second time on purpose: they cost
 O(q) divisions per label, where matching m against each level's
 ``level_form`` set would cost O(q^2).
 
-``invert_label`` and ``trace_inversion`` share one decoding loop; the
-trace records one ``DecodeState(level, chain, digits, remainder)`` per
-level test.
+``invert_label``, ``trace_inversion`` and ``gracetree invert`` share one
+decoding loop, which hands one ``DecodeState(level, chain, digits,
+remainder)`` per level test to a sink as soon as it is built: the trace
+keeps them all, while the CLI prints each and keeps none.
 
 Several remainders are provably non-zero for valid inputs (for example the
 odd chain's first remainder, since a label divisible by h_2 would make the
@@ -25,7 +26,7 @@ that raise ConsistencyError, never absorbed.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ConsistencyError, InvalidVertexError, LabelRangeError
 from .shape import TreeShape, VertexId, validate_vertex
@@ -65,27 +66,27 @@ def invert_label(shape: TreeShape, m: int) -> VertexId:
 def trace_inversion(shape: TreeShape, m: int) -> list[DecodeState]:
     """Every decoder state for label m, ending at the resolving test."""
     trace: list[DecodeState] = []
-    _decode(shape, m, trace)
+    _decode(shape, m, trace.append)
     return trace
 
 
-def _decode(shape: TreeShape, m: int, trace: list[DecodeState] | None) -> VertexId:
+def _decode(shape: TreeShape, m: int, emit: Callable[[DecodeState], object] | None) -> VertexId:
     if not 0 <= m <= shape.edge_count:
         raise LabelRangeError(
             f"label {m} outside [0, {shape.edge_count}] for this shape"
         )
-    # Each state is built with tuple.__new__, which skips the Python-level
-    # __new__ of a NamedTuple: a trace makes one state per level.
+    # emit, unless None, gets each state as it is built, with tuple.__new__,
+    # which skips the Python-level __new__ of a NamedTuple: one per level.
     if m == 0:
-        if trace is not None:
-            trace.append(tuple.__new__(DecodeState, (1, "root", (), 0)))
+        if emit is not None:
+            emit(tuple.__new__(DecodeState, (1, "root", (), 0)))
         return ()
 
     sizes = shape.level_sizes
     # Level 2: a single division of m' = k_1 * h_2 - m by h_2.
     digit, rem = divmod(shape.edge_count - m, sizes[1])
-    if trace is not None:
-        trace.append(tuple.__new__(DecodeState, (2, "even", (digit,), rem)))
+    if emit is not None:
+        emit(tuple.__new__(DecodeState, (2, "even", (digit,), rem)))
     if rem == 0:
         return _decoded(shape, [digit])
 
@@ -107,9 +108,9 @@ def _decode(shape: TreeShape, m: int, trace: list[DecodeState] | None) -> Vertex
         digit, rem = divmod(rem - 1, sizes[level - 1])
         digits.append(digit)
         chain_rems[parity] = rem
-        if trace is not None:
+        if emit is not None:
             chain = "odd" if parity else "even"
-            trace.append(tuple.__new__(DecodeState, (level, chain, tuple(digits), rem)))
+            emit(tuple.__new__(DecodeState, (level, chain, tuple(digits), rem)))
         if rem == 0:
             return _decoded(shape, digits)
     raise ConsistencyError(

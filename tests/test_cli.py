@@ -17,8 +17,12 @@ from gracetree import (
     brute_force_graceful,
     build_shape,
     enumerate_vertices,
+    format_vertex,
+    invert_label,
     label_all,
+    label_vertex,
     records_from_assignment,
+    trace_inversion,
 )
 from gracetree import cli, errors, labelling, verification
 from gracetree.cli import main
@@ -71,6 +75,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(gracetree.__file__))
+    return env
+
+
+def _deepest_path_trace(levels):
+    # On the path of q levels the deepest vertex resolves at level q, so its
+    # trace prints about q^2/2 digits.
+    degrees = (1,) * (levels - 1)
+    label = label_vertex(build_shape(degrees), (0,) * len(degrees))
+    return ["invert", ",".join(map(str, degrees)), str(label), "--trace"]
 
 
 class TestLabelCommand:
@@ -332,6 +350,49 @@ class TestInvertCommand:
         assert code == 0
         assert out == "level 1: label 0 is the root\n() level 1\n"
 
+    def test_trace_is_the_library_trace(self, capsys):
+        # One line per state of trace_inversion, in order, then the result.
+        for degrees in sweep_degree_sequences(max_levels=4):
+            shape, text = build_shape(degrees), ",".join(map(str, degrees))
+            for m in range(shape.edge_count + 1):
+                code, out, err = run(capsys, "invert", text, str(m), "--trace")
+                vertex = invert_label(shape, m)
+                expected = [
+                    *map(cli._describe_state, trace_inversion(shape, m)),
+                    f"{format_vertex(vertex)} level {len(vertex) + 1}",
+                ]
+                assert (code, err) == (0, "")
+                assert out == "".join(line + "\n" for line in expected)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_trace_memory_is_linear_in_depth(self):
+        # A kept trace holds O(q^2) digits, about 36 MiB more at q = 3,000
+        # than at q = 300; a printed one holds O(q).  Each child reports its
+        # own peak RSS in KiB: VmHWM, since ru_maxrss keeps the peak of the
+        # process that forked it, here the test runner.
+        child = (
+            "import sys\n"
+            "from gracetree.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    (peak,) = [line.split()[1] for line in status if line.startswith('VmHWM:')]\n"
+            "print(code, peak, file=sys.stderr)\n"
+        )
+        peaks = []
+        for levels in (300, 3000):
+            done = subprocess.run(
+                [sys.executable, "-c", child, *_deepest_path_trace(levels)],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                env=_child_env(),
+                timeout=60,
+                check=True,
+            )
+            code, peak_kib = map(int, done.stderr.split())
+            assert code == 0
+            peaks.append(peak_kib)
+        assert peaks[1] - peaks[0] < 8 * 1024
+
 
 class TestVerifyCommand:
     def test_example(self, capsys):
@@ -565,25 +626,27 @@ class TestExitStatuses:
         assert main(argv) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("fmt", FORMATS)
-    def test_reader_closing_early_is_quiet(self, fmt):
+    @pytest.mark.parametrize("command", [*FORMATS, "invert-trace"])
+    def test_reader_closing_early_is_quiet(self, command):
         first_line = {
             "csv": b"vertex,level,label,parent_label,edge_label\n",
             "json": b'{"degree_sequence": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2], ',
             "dot": b"digraph labelled_tree {\n",
             "table": b"vertex    ",
-        }[fmt]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(gracetree.__file__))
+            "invert-trace": b"level 2 [even chain] digits (0): remainder ",
+        }[command]
         # Several MB in every format, far beyond a pipe buffer; each run
         # of records is one write of about 100 KB, which the closed pipe
-        # can cut in the middle.
-        degrees = ",".join(["2"] * 16)
+        # can cut in the middle.  The trace is about 9 MB of lines.
+        if command == "invert-trace":
+            argv = _deepest_path_trace(3000)
+        else:
+            argv = ["label", ",".join(["2"] * 16), "--format", command]
         with subprocess.Popen(
-            [sys.executable, "-m", "gracetree", "label", degrees, "--format", fmt],
+            [sys.executable, "-m", "gracetree", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_child_env(),
         ) as proc:
             assert proc.stdout.readline().startswith(first_line)
             proc.stdout.close()
