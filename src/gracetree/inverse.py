@@ -21,15 +21,16 @@ keeps them all, while the CLI prints each and keeps none.
 Several remainders are provably non-zero for valid inputs (for example the
 odd chain's first remainder, since a label divisible by h_2 would make the
 even chain resolve first).  Those facts are enforced as runtime checks
-that raise ConsistencyError, never absorbed.
+that raise ConsistencyError, never absorbed.  They also bound every digit
+(see ``_decode``), so nothing re-validates the decoded vertex.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .errors import ConsistencyError, InvalidVertexError, LabelRangeError
-from .shape import TreeShape, VertexId, validate_vertex
+from .errors import ConsistencyError, LabelRangeError
+from .shape import TreeShape, VertexId
 
 
 class DecodeState(NamedTuple):
@@ -82,13 +83,21 @@ def _decode(shape: TreeShape, m: int, emit: Callable[[DecodeState], object] | No
             emit(tuple.__new__(DecodeState, (1, "root", (), 0)))
         return ()
 
+    # Every digit is a valid child index, so the vertex needs no re-check.
+    # Level 2 divides |E| - m < k_1*h_2 by h_2.  Each later test divides a
+    # chain remainder r < h_j = k_j*h_{j+1} + 1 (m itself is below h_1) by
+    # h_{j+1}: the digit reaches k_j only if r = k_j*h_{j+1}, whose zero
+    # remainder raises ConsistencyError.  The nonzero remainder r' < h_{j+1}
+    # then gives r' - 1 < k_{j+1}*h_{j+2}, so the second digit stays below
+    # k_{j+1} and the new remainder below h_{j+2}.  No digit is negative, and
+    # the scan stops by level q, so a vertex has at most q - 1 digits.
     sizes = shape.level_sizes
     # Level 2: a single division of m' = k_1 * h_2 - m by h_2.
     digit, rem = divmod(shape.edge_count - m, sizes[1])
     if emit is not None:
         emit(tuple.__new__(DecodeState, (2, "even", (digit,), rem)))
     if rem == 0:
-        return _decoded(shape, [digit])
+        return (digit,)
 
     # Deeper levels: two divisions per test, alternating chains.  The odd
     # chain's first test divides m itself; afterwards each chain continues
@@ -112,17 +121,8 @@ def _decode(shape: TreeShape, m: int, emit: Callable[[DecodeState], object] | No
             chain = "odd" if parity else "even"
             emit(tuple.__new__(DecodeState, (level, chain, tuple(digits), rem)))
         if rem == 0:
-            return _decoded(shape, digits)
+            return tuple(digits)
     raise ConsistencyError(
         f"label {m} unresolved after level {shape.levels}; "
         "the deepest divisor is 1 and must terminate the scan"
     )
-
-
-def _decoded(shape: TreeShape, digits: list[int]) -> VertexId:
-    vertex = tuple(digits)
-    try:
-        validate_vertex(shape, vertex)
-    except InvalidVertexError as exc:
-        raise ConsistencyError(f"decoded vertex {vertex} is invalid: {exc}") from exc
-    return vertex

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import CapacityError, DegreeSequenceError, InvalidVertexError
@@ -63,7 +64,8 @@ class TreeShape:
     are derived bottom-up: the deepest level has size 1 and each level
     above satisfies size = degree * size_below + 1.  Construction fails
     with CapacityError instead of silently exceeding 64 bits.  Instances
-    are immutable and safe for unrestricted concurrent use.
+    are immutable and safe for unrestricted concurrent use; ``levels``,
+    ``vertex_count`` and ``edge_count`` are worked out on first read.
     """
 
     degrees: tuple[int, ...]
@@ -90,15 +92,15 @@ class TreeShape:
         sizes.reverse()
         object.__setattr__(self, "level_sizes", tuple(sizes))
 
-    @property
+    @cached_property
     def levels(self) -> int:
         return len(self.level_sizes)
 
-    @property
+    @cached_property
     def vertex_count(self) -> int:
         return self.level_sizes[0]
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
         return self.level_sizes[0] - 1
 
@@ -114,8 +116,9 @@ def validate_vertex(shape: TreeShape, vertex: VertexId) -> int:
         raise InvalidVertexError(
             f"sequence of length {len(vertex)} exceeds the {shape.levels}-level tree"
         )
-    for position, (x, k) in enumerate(zip(vertex, shape.degrees), start=1):
-        if not 0 <= x < k:
+    for x, k in zip(vertex, shape.degrees):
+        if not 0 <= x < k:  # counted only here, off the passing path
+            position = [0 <= y < d for y, d in zip(vertex, shape.degrees)].index(False) + 1
             raise InvalidVertexError(
                 f"entry {position}: child index {x} outside [0, {k - 1}]",
                 position=position,

@@ -1,7 +1,7 @@
 """Label decoding: published values, round trips, and trace snapshots."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gracetree import (
@@ -123,6 +123,35 @@ class TestTraceInversion:
     def test_out_of_range(self, example_shape):
         with pytest.raises(LabelRangeError):
             trace_inversion(example_shape, 33)
+
+
+def boundary_labels(shape):
+    """Labels next to the multiples j*h_i (0 <= j <= k_{i-1} + 1), and |E| minus each.
+
+    The even chain starts from |E| - m, hence both ends; |E| is among them.
+    """
+    e, sizes = shape.edge_count, shape.level_sizes
+    near = {j * h + d for k, h in zip(shape.degrees, sizes[1:]) for j in range(k + 2) for d in (-1, 0, 1)}
+    return sorted({m for n in near for m in (n, e - n) if 0 <= m <= e})
+
+
+def assert_boundary_labels_decode(shape):
+    for m in boundary_labels(shape):
+        vertex = invert_label(shape, m)
+        assert validate_vertex(shape, vertex) == len(vertex) + 1
+        assert len(vertex) <= shape.levels - 1
+        assert label_vertex(shape, vertex) == m
+
+
+def test_boundary_labels_decode_to_valid_vertices_over_sweep():
+    for degrees in sweep_degree_sequences():
+        assert_boundary_labels_decode(build_shape(degrees))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=3))
+def test_boundary_labels_decode_to_valid_vertices(degrees):
+    assert_boundary_labels_decode(build_shape(degrees))
 
 
 @given(small_degree_sequences, st.data())

@@ -1,5 +1,7 @@
 """Tree shape construction, vertex validation, and enumeration."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -88,6 +90,20 @@ class TestBuildShape:
         with pytest.raises(DegreeSequenceError):
             build_shape((2, 0))
 
+    def test_reading_counts_changes_no_identity(self):
+        # The counts are worked out on first read and kept; that must not
+        # show in equality, hashing, repr or a pickle round trip.
+        for degrees in ((), (2, 3, 4), (1000, 1000), (2,) * 20):
+            read, fresh = build_shape(degrees), build_shape(degrees)
+            counts = (read.levels, read.vertex_count, read.edge_count)
+            assert counts == (len(degrees) + 1, fresh.level_sizes[0], fresh.level_sizes[0] - 1)
+            text = f"TreeShape(degrees={degrees!r}, level_sizes={fresh.level_sizes!r})"
+            for shape in (read, pickle.loads(pickle.dumps(read)), pickle.loads(pickle.dumps(fresh))):
+                assert shape == fresh and fresh == shape
+                assert hash(shape) == hash(fresh)
+                assert repr(shape) == repr(fresh) == text
+                assert (shape.levels, shape.vertex_count, shape.edge_count) == counts
+
     def test_recurrence_cross_check_over_sweep(self):
         # Two independent routes to every subtree size: the recurrence the
         # package uses versus the direct sum-of-prefix-products expansion.
@@ -120,11 +136,20 @@ class TestValidateVertex:
         with pytest.raises(InvalidVertexError) as exc:
             validate_vertex(shape, (0, 3))
         assert exc.value.position == 2
+        # The first entry equal to the bad digit passes: a position taken
+        # from vertex.index(5) would read 1.
+        with pytest.raises(InvalidVertexError) as exc:
+            validate_vertex(build_shape((9, 4)), (5, 5))
+        assert exc.value.position == 2
+        assert str(exc.value) == "entry 2: child index 5 outside [0, 3]"
 
     def test_too_deep(self):
         shape = build_shape((2, 3, 4))
         with pytest.raises(InvalidVertexError):
             validate_vertex(shape, (0, 0, 0, 0))
+        with pytest.raises(InvalidVertexError) as exc:
+            validate_vertex(build_shape((9, 4)), (5, 5, 5))
+        assert str(exc.value) == "sequence of length 3 exceeds the 3-level tree"
 
 
 class TestEnumerateVertices:
