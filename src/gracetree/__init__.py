@@ -18,7 +18,6 @@ from .errors import (
 from .inverse import DecodeState, invert_label, trace_inversion
 from .labelling import (
     BLOCK,
-    Block,
     LabelledVertex,
     enumerate_vertices,
     label_all,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BLOCK",
-    "Block",
     "CapacityError",
     "ConsistencyError",
     "Counterexample",

@@ -72,6 +72,8 @@ def trace_inversion(shape: TreeShape, m: int) -> list[DecodeState]:
 
 
 def _decode(shape: TreeShape, m: int, emit: Callable[[DecodeState], object] | None) -> VertexId:
+    if not isinstance(m, int):  # a bool counts as an int
+        raise LabelRangeError(f"label {m!r} is not an integer")
     if not 0 <= m <= shape.edge_count:
         raise LabelRangeError(
             f"label {m} outside [0, {shape.edge_count}] for this shape"

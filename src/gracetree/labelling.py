@@ -52,19 +52,6 @@ class LabelledVertex(NamedTuple):
     parent_label: int | None
 
 
-class Block(NamedTuple):
-    """The labels of a run of vertices of one level, contiguous in canonical order.
-
-    ``labels[i]`` and ``parent_labels[i]`` belong to the i-th vertex of the
-    run; the blocks concatenate to the order of ``enumerate_vertices``, so a
-    block's vertices are found by position.  Only the root's one-vertex
-    block has ``parent_labels`` None.
-    """
-
-    labels: list[int]
-    parent_labels: list[int] | None
-
-
 def level_form(shape: TreeShape, level: int) -> tuple[int, int, tuple[int, ...]]:
     """The ``(offset, sign, weights)`` of level ``level``'s labels.
 
@@ -94,16 +81,20 @@ def label_vertex(shape: TreeShape, vertex: VertexId) -> int:
     return result
 
 
-def label_blocks(shape: TreeShape) -> Iterator[Block]:
-    """Stream the closed-form labelling as blocks in canonical order.
+def label_blocks(shape: TreeShape) -> Iterator[tuple[list[int], list[int] | None]]:
+    """Stream the closed-form labelling as ``(labels, parent_labels)`` blocks.
 
+    A block is a run of vertices of one level, contiguous in canonical
+    order: the blocks concatenate to the order of ``enumerate_vertices``, so
+    ``labels[i]`` and ``parent_labels[i]`` belong to the vertex at that
+    position.  Only the root's one-vertex block has ``parent_labels`` None.
     Each level is cut into blocks at its split digit (``_split_digit``),
     and one offset table of weighted digit sums covers all of them; the
     digits above the split digit move the base, so labelling costs two
     C-level maps per block and memory never depends on the vertex count.
     """
     root, _, _ = level_form(shape, 1)
-    yield Block([root], None)
+    yield [root], None
     for level in range(2, shape.levels + 1):
         width = level - 1
         radices = shape.degrees[:width]
@@ -130,7 +121,7 @@ def label_blocks(shape: TreeShape) -> Iterator[Block]:
                 size = (last - first) * span
                 label_shift = base + sign * (dot + first * weights[split])
                 parent_shift = parent_base + parent_sign * (dot + first * parent_weights[split])
-                yield Block(
+                yield (
                     list(map(add, repeat(label_shift), dots[:size])),
                     list(map(add, repeat(parent_shift), parent_dots[:size])),
                 )

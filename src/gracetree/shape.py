@@ -111,10 +111,20 @@ def build_shape(degrees: Iterable[int]) -> TreeShape:
 
 
 def validate_vertex(shape: TreeShape, vertex: VertexId) -> int:
-    """Check a vertex against a shape and return its 1-based level."""
+    """Check a vertex of int entries (bools too) against a shape; return its 1-based level."""
     if len(vertex) > len(shape.degrees):
         raise InvalidVertexError(
             f"sequence of length {len(vertex)} exceeds the {shape.levels}-level tree"
+        )
+    try:  # a float, Fraction or str entry leaves a sum that is not an int
+        whole = type(sum(vertex)) is int
+    except TypeError:
+        whole = False
+    if not whole:
+        position = next(i for i, x in enumerate(vertex, 1) if not isinstance(x, int))
+        raise InvalidVertexError(
+            f"entry {position}: child index {vertex[position - 1]!r} is not an integer",
+            position=position,
         )
     for x, k in zip(vertex, shape.degrees):
         if not 0 <= x < k:  # counted only here, off the passing path

@@ -23,7 +23,7 @@ from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError, SearchCapError
-from .labelling import LabelledVertex, enumerate_vertices, level_runs
+from .labelling import LabelledVertex, enumerate_vertices, level_runs, records_from_assignment
 from .shape import TreeShape, VertexId
 
 # A run is marked through one scratch mask only when its values span at
@@ -241,17 +241,15 @@ def verify_with_weak_alpha(
     return report, WeaklyAlphaReport((lo, hi) if lo <= hi else None, lo < hi or not edge_count)
 
 
-def brute_force_graceful(
-    shape: TreeShape, cap: int = 14
-) -> dict[VertexId, int] | None:
+def brute_force_graceful(shape: TreeShape, cap: int = 14) -> list[LabelledVertex] | None:
     """Search for a graceful labelling, independent of the closed form.
 
     Backtracking over vertices in breadth-first order, trying labels
     0..|E| in increasing order and pruning duplicate vertex or edge
     labels, so the first hit is the lexicographically smallest label
-    vector, returned as a vertex -> label dict.  Returns None if the
-    search space is exhausted (not expected for any tree, but the search
-    is honest about it).
+    vector, returned as records in canonical order, the form of
+    ``label_all``.  Returns None if the search space is exhausted (not
+    expected for any tree, but the search is honest about it).
     """
     if shape.vertex_count > cap:
         raise SearchCapError(
@@ -295,7 +293,7 @@ def brute_force_graceful(
             vertex_used[labels[i]] = False
             if parents[i] is not None:
                 edge_used[abs(labels[i] - labels[parents[i]])] = False
-    return dict(zip(order, labels))
+    return list(records_from_assignment(shape, dict(zip(order, labels))))
 
 
 def canonical_path_labelling(n: int) -> list[int]:

@@ -438,9 +438,7 @@ class TestVerifyCommand:
         # A graceful stream whose h_2 is not a feasible separator: the
         # closed form never yields one, so verify treats it as a bug.
         found = brute_force_graceful(build_shape((2, 1, 2)))
-        monkeypatch.setattr(
-            cli, "label_all", lambda shape: records_from_assignment(shape, found)
-        )
+        monkeypatch.setattr(cli, "label_all", lambda shape: iter(found))
         code, out, err = run(capsys, "verify", "2,1,2")
         assert code == 5
         assert err.startswith("internal error: separator 4 not in feasible interval")
@@ -480,6 +478,20 @@ class TestOracleCompareCommand:
         assert code == 0
         assert "search oracle: found a different valid labelling" in out
 
+    def test_same_labelling_compares_parent_labels(self, capsys, monkeypatch):
+        # On 1,2 the search finds the closed form.  A stream with the same
+        # labels but one wrong parent label is not the same labelling.
+        _, out, _ = run(capsys, "oracle-compare", "1,2")
+        assert "search oracle: found the same labelling" in out.splitlines()
+        records = list(label_all(build_shape((1, 2))))
+        wrong = records[:-1] + [records[-1]._replace(parent_label=0)]
+        monkeypatch.setattr(cli, "label_all", lambda shape: iter(wrong))
+        code, out, _ = run(capsys, "oracle-compare", "1,2")
+        assert code == 1
+        assert "closed form: NOT graceful" in out.splitlines()
+        assert "search oracle: found the same labelling" not in out
+        assert "search oracle: found a different valid labelling" in out.splitlines()
+
     def test_too_large(self, capsys):
         code, _, err = run(capsys, "oracle-compare", "2,3,4")
         assert code == 2
@@ -514,7 +526,8 @@ class TestOracleCompareCommand:
              "closed form: NOT graceful"),
             ("brute_force_graceful", lambda shape, cap: None, "2,2",
              "search oracle: exhausted without a graceful labelling"),
-            ("brute_force_graceful", lambda shape, cap: _all_zero(shape), "2,2",
+            ("brute_force_graceful",
+             lambda shape, cap: list(records_from_assignment(shape, _all_zero(shape))), "2,2",
              "search oracle: produced an invalid labelling"),
         ],
         ids=["path mismatch", "closed form fails", "search exhausted", "search invalid"],

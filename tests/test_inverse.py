@@ -40,6 +40,18 @@ class TestInvertLabel:
         with pytest.raises(LabelRangeError):
             invert_label(example_shape, -1)
 
+    @pytest.mark.parametrize("m", [2.0, 0.0, "2", None])
+    def test_non_integer_label(self, m):
+        # 2.0 once decoded to the float "vertex" (0.0, 1.0).
+        with pytest.raises(LabelRangeError, match="is not an integer"):
+            invert_label(build_shape((2, 3)), m)
+        with pytest.raises(LabelRangeError, match="is not an integer"):
+            trace_inversion(build_shape((2, 3)), m)
+
+    def test_bool_label_is_an_int(self, example_shape):
+        assert invert_label(example_shape, True) == invert_label(example_shape, 1)
+        assert invert_label(example_shape, False) == ()
+
     def test_single_vertex_tree(self):
         shape = build_shape(())
         assert invert_label(shape, 0) == ()

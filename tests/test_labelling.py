@@ -50,6 +50,15 @@ class TestLabelVertex:
         with pytest.raises(InvalidVertexError):
             label_vertex(example_shape, (2,))
 
+    @pytest.mark.parametrize("vertex", [(0.5,), (1, 2.0), ("1",), (0, "2")])
+    def test_non_integer_vertex(self, vertex):
+        # (0.5,) once labelled 6.0, and a str digit raised a bare TypeError.
+        with pytest.raises(InvalidVertexError):
+            label_vertex(build_shape((2, 3)), vertex)
+
+    def test_bool_digits_label_as_ints(self, example_shape):
+        assert label_vertex(example_shape, (True, False)) == label_vertex(example_shape, (1, 0))
+
     def test_root_is_zero_everywhere(self):
         for degrees in sweep_degree_sequences(max_levels=4):
             assert label_vertex(build_shape(degrees), ()) == 0
@@ -168,10 +177,11 @@ def canonical_order(degrees):
 
 
 def paired_blocks(shape):
-    """Each block of label_blocks with the ids of enumerate_vertices it covers."""
+    """Each ``(labels, parent_labels)`` pair of label_blocks with the ids of
+    enumerate_vertices it covers."""
     vertices = enumerate_vertices(shape)
-    for block in label_blocks(shape):
-        yield list(islice(vertices, len(block.labels))), block
+    for labels, parents in label_blocks(shape):
+        yield list(islice(vertices, len(labels))), labels, parents
 
 
 class TestLabelBlocks:
@@ -182,16 +192,18 @@ class TestLabelBlocks:
         # running lengths hit every level boundary.
         shape = build_shape(degrees)
         pairs = list(paired_blocks(shape))
-        for vertices, block in pairs:
-            assert 1 <= len(block.labels) == len(vertices) <= BLOCK
+        for vertices, labels, parents in pairs:
+            assert type(labels) is list
+            assert 1 <= len(labels) == len(vertices) <= BLOCK
             assert len({len(vertex) for vertex in vertices}) == 1
-            assert (block.parent_labels is None) == (vertices == [()])
-            if block.parent_labels is not None:
-                assert len(block.parent_labels) == len(block.labels)
-        ends = set(accumulate(len(block.labels) for _, block in pairs))
+            assert (parents is None) == (vertices == [()])
+            if parents is not None:
+                assert type(parents) is list
+                assert len(parents) == len(labels)
+        ends = set(accumulate(len(labels) for _, labels, _ in pairs))
         level_counts = accumulate((1,) + degrees, mul)
         assert set(accumulate(level_counts)) <= ends
-        streamed = chain.from_iterable(vertices for vertices, _ in pairs)
+        streamed = chain.from_iterable(vertices for vertices, _, _ in pairs)
         assert list(streamed) == list(canonical_order(degrees))
 
     def test_long_sibling_run_is_split(self):
@@ -199,10 +211,10 @@ class TestLabelBlocks:
         shape = build_shape((10**6,))
         root, *firsts = islice(label_blocks(shape), 4)
         assert root == ([0], None)
-        for index, block in enumerate(firsts):
+        for index, (labels, parents) in enumerate(firsts):
             vertices = [(x,) for x in range(index * BLOCK, (index + 1) * BLOCK)]
-            assert block.labels == [label_vertex(shape, v) for v in vertices]
-            assert block.parent_labels == [0] * BLOCK
+            assert labels == [label_vertex(shape, v) for v in vertices]
+            assert parents == [0] * BLOCK
 
     def test_labels_agree_with_pointwise_over_sweep(self):
         # Both sides read level_form: this checks the offset tables and the
@@ -210,19 +222,17 @@ class TestLabelBlocks:
         # TestLabelAll.test_agrees_with_pointwise_over_sweep).
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
-            for vertices, block in paired_blocks(shape):
-                assert block.labels == [label_vertex(shape, v) for v in vertices]
-                if block.parent_labels is not None:
-                    assert block.parent_labels == [
-                        label_vertex(shape, v[:-1]) for v in vertices
-                    ]
+            for vertices, labels, parents in paired_blocks(shape):
+                assert labels == [label_vertex(shape, v) for v in vertices]
+                if parents is not None:
+                    assert parents == [label_vertex(shape, v[:-1]) for v in vertices]
 
     def test_records_expand_blocks(self):
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
             blocks = list(label_blocks(shape))
-            labels = chain.from_iterable(block.labels for block in blocks)
-            parents = chain.from_iterable(block.parent_labels or [None] for block in blocks)
+            labels = chain.from_iterable(labels for labels, _ in blocks)
+            parents = chain.from_iterable(parents or [None] for _, parents in blocks)
             expanded = list(zip(enumerate_vertices(shape), labels, parents))
             records = list(label_all(shape))
             assert len(expanded) == shape.vertex_count, degrees

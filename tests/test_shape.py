@@ -1,6 +1,7 @@
 """Tree shape construction, vertex validation, and enumeration."""
 
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -142,6 +143,33 @@ class TestValidateVertex:
             validate_vertex(build_shape((9, 4)), (5, 5))
         assert exc.value.position == 2
         assert str(exc.value) == "entry 2: child index 5 outside [0, 3]"
+
+    @pytest.mark.parametrize(
+        "vertex, position",
+        [
+            ((0.5,), 1),
+            ((1, 2.0), 2),
+            (("1",), 1),
+            ((0, "1", 0.5), 2),
+            ((0, Fraction(1)), 2),
+            ((1, None), 2),
+        ],
+    )
+    def test_non_integer_entry_reports_position(self, vertex, position):
+        # Each is refused at its first non-integer entry, whether that entry
+        # lies in range (0.5, 2.0, Fraction(1)) or cannot be compared ("1", None).
+        with pytest.raises(InvalidVertexError) as exc:
+            validate_vertex(build_shape((2, 3, 4)), vertex)
+        assert exc.value.position == position
+        shown = repr(vertex[position - 1])
+        assert str(exc.value) == f"entry {position}: child index {shown} is not an integer"
+
+    def test_bool_entries_are_ints(self):
+        shape = build_shape((2, 3, 4))
+        assert validate_vertex(shape, (True, False, True)) == 4
+        with pytest.raises(InvalidVertexError) as exc:
+            validate_vertex(build_shape((1, 4)), (True,))
+        assert exc.value.position == 1
 
     def test_too_deep(self):
         shape = build_shape((2, 3, 4))

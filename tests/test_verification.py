@@ -9,6 +9,7 @@ import pytest
 
 from gracetree import (
     CapacityError,
+    LabelledVertex,
     LabellingStreamError,
     SearchCapError,
     WeaklyAlphaReport,
@@ -422,13 +423,13 @@ class TestBruteForce:
         shape = build_shape((2,))
         found = brute_force_graceful(shape)
         assert found is not None
-        report, _ = verify_with_weak_alpha(shape, records_from_assignment(shape, found))
+        report, _ = verify_with_weak_alpha(shape, found)
         assert report.passed
 
     def test_three_vertex_path_first_assignment(self):
         shape = build_shape((1, 1))
         found = brute_force_graceful(shape)
-        assert [found[v] for v in enumerate_vertices(shape)] == [0, 2, 1]
+        assert found == [((), 0, None), ((0,), 2, 0), ((0, 0), 1, 2)]
 
     def test_first_hit_is_lexicographically_smallest(self):
         # Independent route: scan every label vector in lexicographic order.
@@ -442,12 +443,13 @@ class TestBruteForce:
                 if reference_reports(degrees, dict(zip(order, labels)))[0].passed
             )
             found = brute_force_graceful(shape, cap=6)
-            assert [found[v] for v in order] == list(first), degrees
+            assert [r.label for r in found] == list(first), degrees
+            assert [r.vertex for r in found] == order, degrees
 
     def test_star_deeper_than_the_recursion_limit(self):
         shape = build_shape((1100,))
         found = brute_force_graceful(shape, cap=2000)
-        assert [found[v] for v in enumerate_vertices(shape)] == list(range(1101))
+        assert found == [((), 0, None)] + [((x,), x + 1, 0) for x in range(1100)]
 
     def test_cap_enforced(self):
         with pytest.raises(SearchCapError):
@@ -463,16 +465,28 @@ class TestBruteForce:
             shape = build_shape(degrees)
             found = brute_force_graceful(shape, cap=7)
             assert found is not None, degrees
-            records = records_from_assignment(shape, found)
-            assert verify_with_weak_alpha(shape, records)[0].passed, degrees
+            assert verify_with_weak_alpha(shape, found)[0].passed, degrees
+
+    def test_records_are_canonical_on_shapes_up_to_ten_vertices(self):
+        # The search hands back label_all's form: canonical ids in order,
+        # each parent label the label of vertex[:-1], verified as given.
+        shapes = [build_shape(d) for d in degree_sequences_up_to(10)]
+        assert len(shapes) == 74
+        for shape in shapes:
+            found = brute_force_graceful(shape, cap=10)
+            assert all(type(r) is LabelledVertex for r in found), shape.degrees
+            assert [r.vertex for r in found] == list(enumerate_vertices(shape)), shape.degrees
+            label_of = {r.vertex: r.label for r in found}
+            assert [r.parent_label for r in found] == [
+                label_of[r.vertex[:-1]] if r.vertex else None for r in found
+            ], shape.degrees
+            assert verify_with_weak_alpha(shape, found)[0].passed, shape.degrees
 
     def test_search_output_gets_separator_report(self):
         # h_2 need not be a feasible separator outside the closed form.
         for degrees, feasible in [((2, 1, 2), (2, 3)), ((2, 2, 1), None)]:
             shape = build_shape(degrees)
-            found = brute_force_graceful(shape)
-            records = records_from_assignment(shape, found)
-            report, weak = verify_with_weak_alpha(shape, records)
+            report, weak = verify_with_weak_alpha(shape, brute_force_graceful(shape))
             assert report.passed, degrees
             assert weak.feasible_k_range == feasible, degrees
 
