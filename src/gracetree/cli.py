@@ -18,7 +18,7 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
-from operator import sub
+from operator import eq, sub
 
 from .errors import (
     CapacityError,
@@ -91,7 +91,7 @@ def _runs(shape: TreeShape):
     ids = islice(enumerate_vertices(shape), 1, None)
     texts = chain.from_iterable(_level_text(shape.degrees[:w]) for w in range(1, shape.levels))
     for width, vertices, labels, parents in runs:
-        if vertices != tuple(islice(ids, len(vertices))):
+        if not all(map(eq, vertices, ids)):
             raise LabellingStreamError(f"label stream has wrong ids at level {width + 1}")
         names = list(islice(texts, len(vertices)))
         yield width, names, labels, parents, map(abs, map(sub, labels, parents))

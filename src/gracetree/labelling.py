@@ -20,12 +20,13 @@ offset table shifted by a per-block base.  ``label_blocks`` is the core;
 record per vertex.  ``level_runs`` cuts a record stream back into runs of
 one level for the verifier and the writers.  It checks the root record,
 each level's record count and id length, and that every other record
-has a parent label; it does not check which ids a level holds.
+has a parent label and every label is an int; not which ids a level holds.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, product, repeat
+from bisect import bisect_left
+from itertools import accumulate, chain, islice, product, repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -96,22 +97,21 @@ def label_blocks(shape: TreeShape) -> Iterator[tuple[list[int], list[int] | None
     root, _, _ = level_form(shape, 1)
     yield [root], None
     for level in range(2, shape.levels + 1):
-        width = level - 1
-        radices = shape.degrees[:width]
+        radices = shape.degrees[: level - 1]
         base, sign, weights = level_form(shape, level)
         parent_base, parent_sign, parent_weights = level_form(shape, level - 1)
         # The parent's weighted sum has no child digit.
         parent_weights += (0,)
         split, span, chunk = _split_digit(radices)
         # Signed offsets of every vertex of a chunk that starts at split
-        # digit 0, for its label and for its parent's label.
+        # digit 0, for its label and its parent's; a one-value digit moves neither.
         dots, parent_dots = [0], [0]
-        for j in range(split, width):
-            values = range(chunk if j == split else radices[j])
-            dots = [d + sign * x * weights[j] for d in dots for x in values]
-            parent_dots = [
-                d + parent_sign * x * parent_weights[j] for d in parent_dots for x in values
-            ]
+        digits = zip((chunk, *radices[split + 1:]), weights[split:], parent_weights[split:])
+        for radix, weight, parent_weight in digits:
+            if radix > 1:
+                values = range(radix)
+                dots = [d + sign * x * weight for d in dots for x in values]
+                parent_dots = [d + parent_sign * x * parent_weight for d in parent_dots for x in values]
         # Each setting of the digits above the split digit is the shared
         # prefix of one run of chunks.
         for prefix in _level_ids(radices[:split]):
@@ -129,12 +129,11 @@ def label_blocks(shape: TreeShape) -> Iterator[tuple[list[int], list[int] | None
 
 def _split_digit(radices: tuple[int, ...]) -> tuple[int, int, int]:
     # ``(split, span, chunk)`` for ids with digit radices ``radices``: the
-    # ``span`` settings of the digits after index ``split`` fit in BLOCK, and
-    # the split digit goes in chunks of ``chunk`` values.
-    split, span = len(radices) - 1, 1
-    while split > 0 and span * radices[split] <= BLOCK:
-        span *= radices[split]
-        split -= 1
+    # first digit whose prefix count reaches ceil(count / BLOCK) is split in
+    # chunks of ``chunk`` values; the ``span`` settings after it fit in BLOCK.
+    counts = list(accumulate(radices, mul))
+    split = bisect_left(counts, -(-counts[-1] // BLOCK))
+    span = counts[-1] // counts[split]
     return split, span, min(BLOCK // span, radices[split])
 
 
@@ -197,13 +196,15 @@ def level_runs(shape: TreeShape, records: Iterable[LabelledVertex]) -> Iterator[
     taken apart into fields; the root is the single run of width 0.  Raises
     LabellingStreamError unless the stream is the root record (id ``()``, no
     parent label), then each level's vertex count of records with ids of
-    that level's length and parent labels, then nothing.  Which ids a level
-    holds is not checked.
+    that level's length and parent labels, then nothing, and unless every
+    label and parent label is an int.  Which ids a level holds is not checked.
     """
     records = iter(records)
     vertex, label, parent_label = next(records, (None, None, None))
     if vertex != () or parent_label is not None:
         raise LabellingStreamError("label stream does not start with the root record")
+    if not _integers((label,)):
+        raise LabellingStreamError("label stream has a non-integer label at level 1")
     yield 0, ((),), (label,), (None,)
     size = 1
     for width, degree in enumerate(shape.degrees, start=1):
@@ -218,9 +219,20 @@ def level_runs(shape: TreeShape, records: Iterable[LabelledVertex]) -> Iterator[
                 raise LabellingStreamError(f"label stream has a bad id length at level {width + 1}")
             if None in parent_labels:
                 raise LabellingStreamError(f"label stream has no parent label at level {width + 1}")
+            if not (_integers(labels) and _integers(parent_labels)):
+                raise LabellingStreamError(f"label stream has a non-integer label at level {width + 1}")
             yield width, vertices, labels, parent_labels
     if next(records, None) is not None:
         raise LabellingStreamError(f"label stream runs past {shape.vertex_count} vertices")
+
+
+def _integers(values: tuple) -> bool:
+    # Whether every value is an int (bools count): the sum of ints is one, a
+    # float, Fraction or Decimal makes it one of those, and str or None raise.
+    try:
+        return type(sum(values)) is int
+    except TypeError:
+        return False
 
 
 def enumerate_vertices(shape: TreeShape) -> Iterator[VertexId]:

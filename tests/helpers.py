@@ -11,6 +11,7 @@ from itertools import chain, islice, product, repeat
 from hypothesis import strategies as st
 
 from gracetree import (
+    BLOCK,
     Counterexample,
     LabelledVertex,
     TreeShape,
@@ -33,6 +34,26 @@ EXAMPLE_LABELS = (
 
 P7_DEGREES = (1, 1, 1, 1, 1, 1)
 P7_LABELS = (0, 6, 1, 5, 2, 4, 3)
+
+
+# Levels longer than one run of the writers, levels that end mid-run, child
+# indices of several digits, and levels of BLOCK (1024) vertices or just
+# past it, where blocks and the writers' vertex text are cut.
+RUN_EDGE_SHAPES = [
+    (),
+    (1,),
+    (1,) * 40,
+    (1500,),
+    (2, 1500),
+    (3000, 2),
+    (12, 11, 13),
+    (10,) * 4,
+    (1024,),
+    (1025,),
+    (2, 512),
+    (2, 513),
+    (32, 32, 2),
+]
 
 
 def vertex_count_by_products(degrees) -> int:
@@ -85,6 +106,17 @@ def degree_sequences_up_to(max_vertices):
 small_degree_sequences = st.lists(
     st.integers(min_value=1, max_value=4), max_size=4
 ).map(tuple).filter(lambda d: vertex_count_by_products(d) <= 500)
+
+
+def split_digit_by_walk(radices):
+    """``_split_digit`` as a walk from the last digit: the digits after the
+    split digit are taken while their settings fit in BLOCK, and the split
+    digit goes in chunks that fill a block."""
+    split, span = len(radices) - 1, 1
+    while split > 0 and span * radices[split] <= BLOCK:
+        span *= radices[split]
+        split -= 1
+    return split, span, min(BLOCK // span, radices[split])
 
 
 def reference_reports(degrees, assignment):
@@ -185,6 +217,17 @@ def _no_parent_label(shape):
     return iter(records)
 
 
+def _replaced(index, field, value):
+    # Record ``index`` of label_all with ``field`` set to ``value``.
+    def stream(shape):
+        records = list(label_all(shape))
+        records[index] = records[index]._replace(**{field: value})
+        return iter(records)
+
+    stream.__name__ = f"_replaced({index}, {field}={value!r})"  # the pytest id
+    return stream
+
+
 def _renamed_id(shape):
     # Record 1, vertex (0,), renamed (1,): level 2 names (1,) twice and (0,)
     # never.  Counts and id lengths still fit, so only an exact id check,
@@ -202,6 +245,14 @@ STREAM_FAULTS = [
     (_long, "runs past 33 vertices"),
     (_wrong_length, "bad id length at level 4"),
     (_no_parent_label, "no parent label at level 3"),
+    # Labels that are not ints: the verifier would index its bitmaps with
+    # them, and the writers' %d would print 11.5 as 11.
+    (_replaced(5, "label", 2.5), "non-integer label at level 3"),
+    (_replaced(5, "label", 11.5), "non-integer label at level 3"),
+    (_replaced(5, "label", "7"), "non-integer label at level 3"),
+    (_replaced(5, "label", None), "non-integer label at level 3"),
+    (_replaced(5, "parent_label", 16.0), "non-integer label at level 3"),
+    (_replaced(0, "label", 0.0), "non-integer label at level 1"),
 ]
 
 

@@ -28,6 +28,7 @@ from gracetree import cli, errors, labelling, verification
 from gracetree.cli import main
 from helpers import (
     EXAMPLE_LABELS,
+    RUN_EDGE_SHAPES,
     STREAM_FAULTS,
     _renamed_id,
     _wrong_root,
@@ -40,24 +41,6 @@ ERROR_CLASSES = [
     value
     for value in vars(errors).values()
     if isinstance(value, type) and value.__module__ == errors.__name__
-]
-# Levels longer than one run of the writers, levels that end mid-run, child
-# indices of several digits, and levels of BLOCK (1024) vertices or just
-# past it, where blocks and the writers' vertex text are cut.
-RUN_EDGE_SHAPES = [
-    (),
-    (1,),
-    (1,) * 40,
-    (1500,),
-    (2, 1500),
-    (3000, 2),
-    (12, 11, 13),
-    (10,) * 4,
-    (1024,),
-    (1025,),
-    (2, 512),
-    (2, 513),
-    (32, 32, 2),
 ]
 
 
@@ -412,6 +395,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "result: PASS" in out
         assert "second-level subtree size 3 lies in the interval" in out
+
+    def test_long_path(self, capsys):
+        # The 1,000-vertex path: 999 digits of one value at its deepest level.
+        code, out, _ = run(capsys, "verify", ",".join(["1"] * 999))
+        assert code == 0
+        assert "vertices: 1000  edges: 999\n" in out
+        assert out.endswith("result: PASS\n")
 
     @pytest.mark.parametrize(
         "degrees, separator_lines",

@@ -5,6 +5,8 @@ from math import prod
 from operator import mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gracetree import (
     BLOCK,
@@ -12,6 +14,7 @@ from gracetree import (
     LabelledVertex,
     LabellingStreamError,
     build_shape,
+    canonical_path_labelling,
     enumerate_vertices,
     format_vertex,
     label_all,
@@ -19,14 +22,22 @@ from gracetree import (
     label_vertex,
     records_from_assignment,
 )
-from gracetree.labelling import CHUNK, _level_ids, _level_text, level_runs
+from gracetree.labelling import CHUNK, _level_ids, _level_text, _split_digit, level_runs
 from helpers import (
     EXAMPLE_DEGREES,
     EXAMPLE_LABELS,
     P7_DEGREES,
     P7_LABELS,
+    RUN_EDGE_SHAPES,
+    split_digit_by_walk,
     sweep_degree_sequences,
 )
+
+# Digits of one value before the split digit of a level, at it, and after it:
+# on level 5 of the first the split digit is the leading 1 (its one value is
+# its one chunk), on level 4 of the second it is 1025 with two 1s after it, on
+# level 6 of the third it is 3 between 1s, and on level 7 of the last it is 600.
+UNIT_DIGIT_SHAPES = [(1, 1, 1024, 1), (1025, 1, 1), (1, 1, 3, 1, 700, 1), (2, 1, 1, 600, 1, 2)]
 
 
 @pytest.fixture
@@ -169,6 +180,25 @@ class TestLevelText:
         assert list(islice(_level_text(degrees), count)) == list(map(format_vertex, ids))
 
 
+class TestSplitDigit:
+    """``_split_digit`` by bisection against the walk from the last digit."""
+
+    def test_every_prefix_matches_walk(self):
+        # bisect_right in place of bisect_left splits (1, 1, 1024, 1) at
+        # digit 2, past the leading 1s, whose prefix count 1 is exactly
+        # ceil(1024 / BLOCK).
+        longer = [(1,) * 300, (2,) * 40, (10**9,) * 3]
+        for degrees in sweep_degree_sequences() + RUN_EDGE_SHAPES + UNIT_DIGIT_SHAPES + longer:
+            for width in range(1, len(degrees) + 1):
+                radices = degrees[:width]
+                assert _split_digit(radices) == split_digit_by_walk(radices), radices
+
+    @given(st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=40))
+    def test_matches_walk(self, radices):
+        radices = tuple(radices)
+        assert _split_digit(radices) == split_digit_by_walk(radices)
+
+
 def canonical_order(degrees):
     """Every vertex level by level, each level in lexicographic order."""
     return chain.from_iterable(
@@ -220,12 +250,19 @@ class TestLabelBlocks:
         # Both sides read level_form: this checks the offset tables and the
         # block shifts against label_vertex, not the formula itself (see
         # TestLabelAll.test_agrees_with_pointwise_over_sweep).
-        for degrees in sweep_degree_sequences():
+        # UNIT_DIGIT_SHAPES put digits of one value, which the offset tables
+        # skip, around the split digit.
+        for degrees in sweep_degree_sequences() + UNIT_DIGIT_SHAPES:
             shape = build_shape(degrees)
             for vertices, labels, parents in paired_blocks(shape):
                 assert labels == [label_vertex(shape, v) for v in vertices]
                 if parents is not None:
                     assert parents == [label_vertex(shape, v[:-1]) for v in vertices]
+
+    def test_long_path_is_zig_zag(self):
+        shape = build_shape((1,) * 1999)
+        labels = chain.from_iterable(labels for labels, _ in label_blocks(shape))
+        assert list(labels) == canonical_path_labelling(2000)
 
     def test_records_expand_blocks(self):
         for degrees in sweep_degree_sequences():

@@ -91,6 +91,11 @@ class TestVerifyGraceful:
         with pytest.raises(LabellingStreamError, match=message):
             verify_with_weak_alpha(shape, stream(shape))
 
+    def test_bool_labels_are_ints(self):
+        shape = build_shape((1,))
+        records = [LabelledVertex((), False, None), LabelledVertex((0,), True, False)]
+        assert verify_with_weak_alpha(shape, records)[0].passed
+
     def test_sweep_passes(self):
         for degrees in sweep_degree_sequences():
             shape = build_shape(degrees)
