@@ -39,7 +39,7 @@ from .verification import (
     WeaklyAlphaReport,
     auxiliary_bitmap_bytes,
     brute_force_graceful,
-    canonical_path_labelling,
+    preorder_labelling,
     verify_with_weak_alpha,
 )
 
@@ -64,7 +64,6 @@ __all__ = [
     "auxiliary_bitmap_bytes",
     "brute_force_graceful",
     "build_shape",
-    "canonical_path_labelling",
     "enumerate_vertices",
     "format_vertex",
     "invert_label",
@@ -72,6 +71,7 @@ __all__ = [
     "label_blocks",
     "label_vertex",
     "parse_degree_sequence",
+    "preorder_labelling",
     "records_from_assignment",
     "trace_inversion",
     "validate_vertex",

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, zip_longest
 from operator import eq, sub
 
 from .errors import (
@@ -30,13 +30,9 @@ from .errors import (
     SearchCapError,
 )
 from .inverse import DecodeState, _decode
-from .labelling import _level_text, enumerate_vertices, label_all, level_runs
+from .labelling import _level_text, enumerate_vertices, label_all, label_blocks, level_runs
 from .shape import TreeShape, build_shape, format_vertex, integer, parse_degree_sequence
-from .verification import (
-    brute_force_graceful,
-    canonical_path_labelling,
-    verify_with_weak_alpha,
-)
+from .verification import brute_force_graceful, preorder_labelling, verify_with_weak_alpha
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -45,8 +41,8 @@ EXIT_CAPACITY = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
-# Keeps oracle-compare off label_all's superlinear time on long paths (q^2/2 id digits).
-PATH_ORACLE_MAX_VERTICES = 64
+# oracle-compare admits up to max(--cap, this) vertices: about 1 s on the 4,096-vertex path.
+ORACLE_MAX_VERTICES = 4096
 
 
 def _shape_from(args: argparse.Namespace) -> TreeShape:
@@ -217,24 +213,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
     shape = _shape_from(args)
     n = shape.vertex_count
-    path_oracle = all(k == 1 for k in shape.degrees) and n <= PATH_ORACLE_MAX_VERTICES
-    if not path_oracle and n > args.cap:
+    if n > max(args.cap, ORACLE_MAX_VERTICES):
         raise SearchCapError(
-            f"{n} vertices exceeds the search cap ({args.cap}) and the shape "
-            f"is not a path of at most {PATH_ORACLE_MAX_VERTICES} vertices"
+            f"{n} vertices exceeds the search cap ({args.cap}) and the walk's {ORACLE_MAX_VERTICES}"
         )
-    closed = list(label_all(shape))
     failures = 0
-    if path_oracle:
-        labels = [rec.label for rec in closed]
-        zigzag = canonical_path_labelling(n)
-        if labels == zigzag:
-            print(f"path oracle: exact match across {n} labels")
-        else:
+    closed = chain.from_iterable(labels for labels, _ in label_blocks(shape))
+    pairs = zip_longest(closed, preorder_labelling(shape.degrees))
+    for position, (label, walked) in enumerate(pairs):
+        if label != walked:
             failures += 1
-            print(f"path oracle: MISMATCH (closed form {labels}, zig-zag {zigzag})")
+            print(f"preorder oracle: MISMATCH at position {position} (closed form {label}, walk {walked})")
+            break
+    else:
+        print(f"preorder oracle: exact match across {n} labels")
     if n <= args.cap:
-        report = verify_with_weak_alpha(shape, closed)[0]
+        records = list(label_all(shape))
+        report = verify_with_weak_alpha(shape, records)[0]
         print(f"closed form: {'graceful' if report.passed else 'NOT graceful'}")
         if not report.passed:
             failures += 1
@@ -249,7 +244,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
                 failures += 1
                 print("search oracle: produced an invalid labelling")
                 _print_counterexamples(found_report)
-            elif found == closed:  # ids, labels and parent labels
+            elif found == records:  # ids, labels and parent labels
                 print("search oracle: found the same labelling")
             else:
                 print("search oracle: found a different valid labelling")

@@ -1,8 +1,7 @@
 """Closed-form graceful labels for rooted symmetric trees.
 
-The label of a vertex is pure arithmetic on its identifying child-index
-sequence (x_1, ..., x_{r-1}) and the subtree sizes h_i.  A vertex at
-level r gets
+A vertex at level r, named by its child indices (x_1, ..., x_{r-1}), gets
+a label that is pure arithmetic on them and the subtree sizes h_i:
 
     offset + sign * (x_1*h_2 + x_2*h_3 + ... + x_{r-1}*h_r)
 
@@ -10,8 +9,11 @@ where ``level_form`` gives the weights (h_2, ..., h_r), offset (r - 1)/2
 and sign +1 for odd r, and offset |E| - (r - 2)/2 and sign -1 for even r;
 the root, at level 1, gets 0.  The divisions by 2 are exact for the
 matching parity of r.  Every edge then carries the absolute difference of
-its endpoint labels.  That this assignment is graceful is machine-checked
-by the verification module rather than taken on faith.
+its endpoint labels; the verification module machine-checks gracefulness.
+The weighted sum is the vertex's preorder index p minus its depth d = r - 1,
+so the label is p - d/2 at even depth and |E| - p + (d+1)/2 at odd depth:
+Rosa's converging counters 0, |E|, 1, |E| - 1, ... for a path, run on a
+depth-first walk, as ``verification.preorder_labelling`` does.
 
 Whole trees are labelled in blocks: runs of at most BLOCK vertices of one
 level, contiguous in canonical order, whose labels are one precomputed

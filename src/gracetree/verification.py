@@ -10,16 +10,17 @@ children all lie on one side of their parents is marked through two
 integer masks; any other is checked record by record and takes its
 separator ends from whole-run extremes.  The report's flags follow from
 the kinds of counterexample found.  The complement |E| - f of a graceful
-labelling f is graceful too, so no check here tells the closed form from
-the closed form with its parities swapped; decoding its labels does.
-Paths have their own zig-zag oracle; small shapes can be searched exhaustively.
+labelling f is graceful too, so the verifier passes the parity-swapped
+closed form; decoding fails it, and so does ``preorder_labelling``, exact
+labels from a depth-first walk.  Small shapes can be searched exhaustively.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from operator import sub
+from itertools import accumulate, repeat
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError, SearchCapError
@@ -252,9 +253,7 @@ def brute_force_graceful(shape: TreeShape, cap: int = 14) -> list[LabelledVertex
     expected for any tree, but the search is honest about it).
     """
     if shape.vertex_count > cap:
-        raise SearchCapError(
-            f"{shape.vertex_count} vertices exceeds the search cap of {cap}"
-        )
+        raise SearchCapError(f"{shape.vertex_count} vertices exceeds the search cap of {cap}")
     order = list(enumerate_vertices(shape))
     index = {vertex: i for i, vertex in enumerate(order)}
     parents = [index[vertex[:-1]] if vertex else None for vertex in order]
@@ -296,21 +295,25 @@ def brute_force_graceful(shape: TreeShape, cap: int = 14) -> list[LabelledVertex
     return list(records_from_assignment(shape, dict(zip(order, labels))))
 
 
-def canonical_path_labelling(n: int) -> list[int]:
-    """Zig-zag graceful labels 0, n-1, 1, n-2, ... along an n-vertex path.
+def preorder_labelling(degrees: Sequence[int]) -> list[int]:
+    """The closed form's labels from Rosa's two counters, in canonical order.
 
-    Two converging counters, nothing else; serves as an independent oracle
-    for the path special case.
+    A depth-first walk counts preorder indices p: a vertex at depth d takes
+    p - d/2 if d is even and |E| - p + (d+1)/2 if d is odd.  Child x of the
+    vertex at index i of its level is stored at index i*k + x of the next, k
+    its degree.  The walk keeps a stack, not Python frames, and reads no weight.
     """
-    if n < 1:
-        raise ValueError("a path needs at least one vertex")
-    labels = []
-    low, high = 0, n - 1
-    while low < high:
-        labels.append(low)
-        labels.append(high)
-        low += 1
-        high -= 1
-    if low == high:
-        labels.append(low)
+    starts = [0, *accumulate(accumulate(degrees, mul, initial=1))]  # where each level begins
+    edge_count = starts[-1] - 1
+    labels = [0] * starts[-1]
+    preorder = 0
+    stack = [(0, 0)]  # the (depth, index in its level) of each vertex still to visit
+    while stack:
+        depth, index = stack.pop()
+        label = edge_count - preorder + (depth + 1) // 2 if depth % 2 else preorder - depth // 2
+        labels[starts[depth] + index] = label
+        preorder += 1
+        if depth < len(degrees):  # children pushed last first, so the first comes off first
+            first = index * degrees[depth]
+            stack += zip(repeat(depth + 1), reversed(range(first, first + degrees[depth])))
     return labels

@@ -19,6 +19,7 @@ from gracetree import (
     WeaklyAlphaReport,
     format_vertex,
     label_all,
+    label_blocks,
 )
 
 # Published worked-example tree: degrees (2,3,4), 33 vertices, labels in
@@ -34,6 +35,11 @@ EXAMPLE_LABELS = (
 
 P7_DEGREES = (1, 1, 1, 1, 1, 1)
 P7_LABELS = (0, 6, 1, 5, 2, 4, 3)
+
+
+def zig_zag(n):
+    """Rosa's graceful labels of the n-vertex path: 0, n-1, 1, n-2, ..."""
+    return [n - 1 - i // 2 if i % 2 else i // 2 for i in range(n)]
 
 
 # Levels longer than one run of the writers, levels that end mid-run, child
@@ -54,6 +60,17 @@ RUN_EDGE_SHAPES = [
     (2, 513),
     (32, 32, 2),
 ]
+
+# Digits of one value before the split digit of a level, at it, and after it:
+# on level 5 of the first the split digit is the leading 1 (its one value is
+# its one chunk), on level 4 of the second it is 1025 with two 1s after it, on
+# level 6 of the third it is 3 between 1s, and on level 7 of the last it is 600.
+UNIT_DIGIT_SHAPES = [(1, 1, 1024, 1), (1025, 1, 1), (1, 1, 3, 1, 700, 1), (2, 1, 1, 600, 1, 2)]
+
+
+def block_labels(shape):
+    """The labels of ``label_blocks``, concatenated in canonical order."""
+    return list(chain.from_iterable(labels for labels, _ in label_blocks(shape)))
 
 
 def vertex_count_by_products(degrees) -> int:

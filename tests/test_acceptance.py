@@ -8,7 +8,6 @@ import time
 
 from gracetree import (
     build_shape,
-    canonical_path_labelling,
     invert_label,
     label_all,
     label_vertex,
@@ -22,6 +21,7 @@ from helpers import (
     P7_LABELS,
     degree_sequences_up_to,
     sweep_degree_sequences,
+    zig_zag,
 )
 
 
@@ -120,8 +120,8 @@ def test_criterion_6_path_oracle_equivalence():
     for n in range(1, 65):
         shape = build_shape((1,) * (n - 1))
         closed = [rec.label for rec in label_all(shape)]
-        assert closed == canonical_path_labelling(n), n
-    assert canonical_path_labelling(7) == list(P7_LABELS)
+        assert closed == zig_zag(n), n
+    assert zig_zag(7) == list(P7_LABELS)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(6, "closed form equals the zig-zag oracle for paths up to 64 vertices", elapsed)

@@ -8,7 +8,7 @@ import os
 import re
 import subprocess
 import sys
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -44,10 +44,11 @@ ERROR_CLASSES = [
 ]
 
 
-def _mirrored(shape):
-    # |E| - f is graceful too, but on a path it is not the zig-zag.
-    assignment = {r.vertex: shape.edge_count - r.label for r in label_all(shape)}
-    return records_from_assignment(shape, assignment)
+def _complement_blocks(shape):
+    # |E| - f is graceful too, but it is not the walk's labelling.
+    edge_count = shape.edge_count
+    for labels, parents in labelling.label_blocks(shape):
+        yield [edge_count - label for label in labels], parents
 
 
 def _all_zero(shape):
@@ -454,7 +455,13 @@ class TestOracleCompareCommand:
     def test_path_matches(self, capsys):
         code, out, _ = run(capsys, "oracle-compare", "1,1,1,1,1,1")
         assert code == 0
-        assert "path oracle: exact match across 7 labels" in out
+        assert "preorder oracle: exact match across 7 labels" in out.splitlines()
+
+    def test_default_cap_walks_larger_shapes(self, capsys):
+        # 33 vertices: past the search cap of 14, within the walk's 4,096.
+        code, out, _ = run(capsys, "oracle-compare", "2,3,4")
+        assert code == 0
+        assert out == "preorder oracle: exact match across 33 labels\n"
 
     def test_small_shape(self, capsys):
         code, out, _ = run(capsys, "oracle-compare", "2")
@@ -482,10 +489,14 @@ class TestOracleCompareCommand:
         assert "search oracle: found the same labelling" not in out
         assert "search oracle: found a different valid labelling" in out.splitlines()
 
-    def test_too_large(self, capsys):
-        code, _, err = run(capsys, "oracle-compare", "2,3,4")
+    @pytest.mark.parametrize(
+        "degrees", ["2,3,4,5,6,7", ",".join(["1"] * 4096)], ids=["5913 vertices", "4097-vertex path"]
+    )
+    def test_too_large(self, capsys, degrees):
+        code, out, err = run(capsys, "oracle-compare", degrees)
         assert code == 2
-        assert "exceeds the search cap" in err
+        assert out == ""
+        assert "exceeds the search cap (14) and the walk's 4096" in err
 
     def test_custom_cap_admits_larger(self, capsys):
         code, out, _ = run(capsys, "oracle-compare", "2,2", "--cap", "7")
@@ -501,17 +512,19 @@ class TestOracleCompareCommand:
         assert "search oracle: found a different valid labelling" in out
         assert err == ""
 
-    def test_long_path_uses_path_oracle_only(self, capsys):
-        code, out, _ = run(capsys, "oracle-compare", ",".join(["1"] * 63))
+    def test_long_path_uses_preorder_oracle_only(self, capsys):
+        # The largest path admitted with the default cap.
+        code, out, _ = run(capsys, "oracle-compare", ",".join(["1"] * 4095))
         assert code == 0
-        assert "path oracle: exact match across 64 labels" in out
-        assert "search oracle" not in out
+        assert out == "preorder oracle: exact match across 4096 labels\n"
 
     @pytest.mark.parametrize(
         "name, fake, degrees, line",
         [
-            ("label_all", _mirrored, "1,1,1",
-             "path oracle: MISMATCH (closed form [3, 0, 2, 1], zig-zag [0, 3, 1, 2])"),
+            ("label_blocks", _complement_blocks, "1,1,1",
+             "preorder oracle: MISMATCH at position 0 (closed form 3, walk 0)"),
+            ("label_blocks", lambda shape: islice(labelling.label_blocks(shape), 3), "2,3,4",
+             "preorder oracle: MISMATCH at position 9 (closed form None, walk 31)"),
             ("label_all", lambda shape: records_from_assignment(shape, _all_zero(shape)), "2,2",
              "closed form: NOT graceful"),
             ("brute_force_graceful", lambda shape, cap: None, "2,2",
@@ -520,7 +533,13 @@ class TestOracleCompareCommand:
              lambda shape, cap: list(records_from_assignment(shape, _all_zero(shape))), "2,2",
              "search oracle: produced an invalid labelling"),
         ],
-        ids=["path mismatch", "closed form fails", "search exhausted", "search invalid"],
+        ids=[
+            "preorder mismatch",
+            "preorder short",
+            "closed form fails",
+            "search exhausted",
+            "search invalid",
+        ],
     )
     def test_oracle_failures(self, capsys, monkeypatch, name, fake, degrees, line):
         monkeypatch.setattr(cli, name, fake)

@@ -14,7 +14,6 @@ from gracetree import (
     LabelledVertex,
     LabellingStreamError,
     build_shape,
-    canonical_path_labelling,
     enumerate_vertices,
     format_vertex,
     label_all,
@@ -29,16 +28,12 @@ from helpers import (
     P7_DEGREES,
     P7_LABELS,
     RUN_EDGE_SHAPES,
+    UNIT_DIGIT_SHAPES,
+    block_labels,
     split_digit_by_walk,
     sweep_degree_sequences,
+    zig_zag,
 )
-
-# Digits of one value before the split digit of a level, at it, and after it:
-# on level 5 of the first the split digit is the leading 1 (its one value is
-# its one chunk), on level 4 of the second it is 1025 with two 1s after it, on
-# level 6 of the third it is 3 between 1s, and on level 7 of the last it is 600.
-UNIT_DIGIT_SHAPES = [(1, 1, 1024, 1), (1025, 1, 1), (1, 1, 3, 1, 700, 1), (2, 1, 1, 600, 1, 2)]
-
 
 @pytest.fixture
 def example_shape():
@@ -119,8 +114,8 @@ class TestLabelAll:
         # The stream and label_vertex both read level_form, so this checks
         # the block tables, the parent labels and the id order, not the
         # formula itself.  The formula is pinned by the published 33-label
-        # example, the zig-zag path, the decoder round trips and the
-        # verifier sweep.  Every record must agree with label_vertex, the
+        # example, the preorder walk (TestPreorderLabelling), the decoder
+        # round trips and the verifier sweep.  Every record must agree with label_vertex, the
         # parent label with the parent's own label, and the order with the
         # canonical enumeration.
         for degrees in sweep_degree_sequences():
@@ -260,9 +255,7 @@ class TestLabelBlocks:
                     assert parents == [label_vertex(shape, v[:-1]) for v in vertices]
 
     def test_long_path_is_zig_zag(self):
-        shape = build_shape((1,) * 1999)
-        labels = chain.from_iterable(labels for labels, _ in label_blocks(shape))
-        assert list(labels) == canonical_path_labelling(2000)
+        assert block_labels(build_shape((1,) * 1999)) == zig_zag(2000)
 
     def test_records_expand_blocks(self):
         for degrees in sweep_degree_sequences():

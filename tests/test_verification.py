@@ -2,10 +2,11 @@
 
 import os
 import random
-from itertools import accumulate, product
-from operator import sub
+from itertools import accumulate, chain, product
+from operator import eq, sub
 
 import pytest
+from hypothesis import given
 
 from gracetree import (
     CapacityError,
@@ -16,9 +17,10 @@ from gracetree import (
     auxiliary_bitmap_bytes,
     brute_force_graceful,
     build_shape,
-    canonical_path_labelling,
     enumerate_vertices,
     label_all,
+    label_blocks,
+    preorder_labelling,
     records_from_assignment,
     verify_with_weak_alpha,
 )
@@ -26,10 +28,19 @@ from gracetree import verification
 from gracetree.labelling import level_runs
 from gracetree.verification import MASK_BITS_PER_VALUE
 from helpers import (
+    EXAMPLE_DEGREES,
+    EXAMPLE_LABELS,
+    P7_DEGREES,
+    P7_LABELS,
+    RUN_EDGE_SHAPES,
     STREAM_FAULTS,
+    UNIT_DIGIT_SHAPES,
+    block_labels,
     degree_sequences_up_to,
     reference_reports,
+    small_degree_sequences,
     sweep_degree_sequences,
+    zig_zag,
 )
 
 
@@ -496,32 +507,63 @@ class TestBruteForce:
             assert weak.feasible_k_range == feasible, degrees
 
 
-class TestCanonicalPathLabelling:
-    def test_seven(self):
-        assert canonical_path_labelling(7) == [0, 6, 1, 5, 2, 4, 3]
+class TestPreorderLabelling:
+    """Rosa's walk against the closed form's block labels, and on its own."""
+
+    def test_goldens(self):
+        assert preorder_labelling(EXAMPLE_DEGREES) == list(EXAMPLE_LABELS)
+        assert preorder_labelling(P7_DEGREES) == list(P7_LABELS)
 
     def test_tiny(self):
-        assert canonical_path_labelling(1) == [0]
-        assert canonical_path_labelling(2) == [0, 1]
+        assert preorder_labelling(()) == [0]
+        assert preorder_labelling((1,)) == [0, 1]
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            canonical_path_labelling(0)
+    def test_matches_label_blocks(self):
+        for degrees in sweep_degree_sequences() + RUN_EDGE_SHAPES + UNIT_DIGIT_SHAPES:
+            assert preorder_labelling(degrees) == block_labels(build_shape(degrees)), degrees
 
-    def test_is_graceful_as_path_labelling(self):
-        for n in range(1, 20):
-            shape = build_shape((1,) * (n - 1))
-            labels = canonical_path_labelling(n)
-            assignment = {(0,) * depth: labels[depth] for depth in range(n)}
-            report, _ = verify_with_weak_alpha(
-                shape, records_from_assignment(shape, assignment)
-            )
-            assert report.passed, n
+    @given(small_degree_sequences)
+    def test_matches_label_blocks_property(self, degrees):
+        assert preorder_labelling(degrees) == block_labels(build_shape(degrees))
 
-    def test_matches_closed_form(self):
-        for n in range(1, 65):
-            shape = build_shape((1,) * (n - 1))
-            assert [r.label for r in label_all(shape)] == canonical_path_labelling(n)
+    def test_matches_label_blocks_on_a_million_vertices(self):
+        shape = build_shape((2,) * 20)  # 2,097,151 vertices; no timing gate
+        walk = preorder_labelling(shape.degrees)
+        assert len(walk) == shape.vertex_count
+        closed = chain.from_iterable(labels for labels, _ in label_blocks(shape))
+        assert all(map(eq, closed, walk))
+
+    def test_parent_tables_are_the_level_above(self):
+        # Vertex i of a level whose parents have k children each hangs from
+        # vertex i // k of the level above, so each label_blocks parent
+        # table is the walk's labels of that level read at i // k.
+        for degrees in sweep_degree_sequences() + RUN_EDGE_SHAPES + UNIT_DIGIT_SHAPES:
+            walk = preorder_labelling(degrees)
+            blocks = label_blocks(build_shape(degrees))
+            assert next(blocks) == ([walk[0]], None)
+            expected, start, width = [], 0, 1
+            for k in degrees:
+                expected += [walk[start + i // k] for i in range(width * k)]
+                start, width = start + width, width * k
+            assert list(chain.from_iterable(parents for _, parents in blocks)) == expected, degrees
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        assert preorder_labelling((1,) * 4999) == zig_zag(5000)
+
+    def test_is_graceful(self):
+        for degrees in sweep_degree_sequences():
+            shape = build_shape(degrees)
+            assignment = dict(zip(enumerate_vertices(shape), preorder_labelling(degrees)))
+            report, _ = verify_with_weak_alpha(shape, records_from_assignment(shape, assignment))
+            assert report.passed, degrees
+
+    def test_tells_the_closed_form_from_its_complement(self):
+        # The stream verifier passes both; the walk matches only the closed form.
+        shape = build_shape(EXAMPLE_DEGREES)
+        complement = [shape.edge_count - label for label in block_labels(shape)]
+        assignment = dict(zip(enumerate_vertices(shape), complement))
+        assert verify_with_weak_alpha(shape, records_from_assignment(shape, assignment))[0].passed
+        assert preorder_labelling(EXAMPLE_DEGREES) != complement
 
 
 def test_auxiliary_bitmap_bytes():
