@@ -13,7 +13,6 @@ reader that closes the output early (``| head``) ends the run quietly with 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -120,8 +119,8 @@ def _write_csv(shape: TreeShape, out) -> None:
 
 def _write_json(shape: TreeShape, out) -> None:
     out.write(
-        f'{{"degree_sequence": {json.dumps(list(shape.degrees))}, '
-        f'"level_sizes": {json.dumps(list(shape.level_sizes))}, "vertex_count": '
+        f'{{"degree_sequence": {list(shape.degrees)}, '
+        f'"level_sizes": {list(shape.level_sizes)}, "vertex_count": '
         f'{shape.vertex_count}, "edge_count": {shape.edge_count}, "records": [\n'
         '{"vertex": "()", "level": 1, "label": 0, "parent_label": null, "edge_label": null}'
     )

@@ -14,8 +14,6 @@ deepest level always has h_q = 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 from .errors import CapacityError, DegreeSequenceError, InvalidVertexError
@@ -55,7 +53,6 @@ def parse_degree_sequence(text: str) -> tuple[int, ...]:
     return tuple(degrees)
 
 
-@dataclass(frozen=True)
 class TreeShape:
     """A daughter degree sequence plus its derived subtree sizes per level.
 
@@ -65,44 +62,50 @@ class TreeShape:
     above satisfies size = degree * size_below + 1.  Construction fails
     with CapacityError instead of silently exceeding 64 bits.  Instances
     are immutable and safe for unrestricted concurrent use; ``levels``,
-    ``vertex_count`` and ``edge_count`` are worked out on first read.
+    ``vertex_count`` and ``edge_count`` are worked out in the constructor.
+    Equality, hashing and pickling go by the degrees alone.
     """
 
-    degrees: tuple[int, ...]
-    level_sizes: tuple[int, ...] = field(init=False)
+    __slots__ = ("degrees", "level_sizes", "levels", "vertex_count", "edge_count")
 
-    def __post_init__(self):
-        for position, k in enumerate(self.degrees, start=1):
-            if k < 1:
+    def __init__(self, degrees: tuple[int, ...]):
+        for position, k in enumerate(degrees, start=1):
+            if not isinstance(k, int):  # bools count as ints, as in validate_vertex
                 raise DegreeSequenceError(
-                    f"entry {position}: daughter degree must be >= 1, got {k}"
+                    f"entry {position}: daughter degree {k!r} is not an integer"
                 )
+            if k < 1:
+                raise DegreeSequenceError(f"entry {position}: daughter degree must be >= 1, got {k}")
             if k > U64_MAX:
                 raise DegreeSequenceError(
                     f"entry {position}: daughter degree {k} exceeds the 64-bit range"
                 )
         sizes = [1]
-        for i in range(len(self.degrees) - 1, -1, -1):
-            nxt = self.degrees[i] * sizes[-1] + 1
+        for i in range(len(degrees) - 1, -1, -1):
+            nxt = degrees[i] * sizes[-1] + 1
             if nxt > U64_MAX:
-                raise CapacityError(
-                    f"subtree size at level {i + 1} exceeds the 64-bit range"
-                )
+                raise CapacityError(f"subtree size at level {i + 1} exceeds the 64-bit range")
             sizes.append(nxt)
-        sizes.reverse()
-        object.__setattr__(self, "level_sizes", tuple(sizes))
+        values = (degrees, tuple(reversed(sizes)), len(sizes), sizes[-1], sizes[-1] - 1)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
-    @cached_property
-    def levels(self) -> int:
-        return len(self.level_sizes)
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TreeShape field {name!r} is read-only")
 
-    @cached_property
-    def vertex_count(self) -> int:
-        return self.level_sizes[0]
+    __delattr__ = __setattr__
 
-    @cached_property
-    def edge_count(self) -> int:
-        return self.level_sizes[0] - 1
+    def __eq__(self, other):
+        return self.degrees == other.degrees if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.degrees)
+
+    def __repr__(self):
+        return f"TreeShape(degrees={self.degrees!r}, level_sizes={self.level_sizes!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.degrees,)
 
 
 def build_shape(degrees: Iterable[int]) -> TreeShape:

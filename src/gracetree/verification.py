@@ -18,7 +18,6 @@ labels from a depth-first walk.  Small shapes can be searched exhaustively.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -41,8 +40,7 @@ class Counterexample(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of a gracefulness check, with counterexamples on failure."""
 
     vertex_labels_distinct: bool
@@ -59,8 +57,7 @@ class VerificationReport:
         )
 
 
-@dataclass(frozen=True)
-class WeaklyAlphaReport:
+class WeaklyAlphaReport(NamedTuple):
     """Separator feasibility for a graceful labelling.
 
     ``feasible_k_range`` is the closed interval of integers k such that

@@ -1,6 +1,9 @@
 """The package's public names and its imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gracetree
@@ -161,3 +164,24 @@ def test_no_unread_top_level_names():
                 and not (defined_name.startswith("__") and defined_name.endswith("__"))
             ]
     assert unread == []
+
+
+# Run by CI on every Python version too.  -S keeps site's .pth files, which
+# may import anything, out of the fresh interpreter.
+LEAN_IMPORT = (
+    "import sys, gracetree.cli; "
+    "loaded = sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)); "
+    "sys.exit(f'gracetree.cli imports {loaded}' if loaded else 0)"
+)
+
+
+def test_cli_imports_no_dataclasses_inspect_or_json():
+    src = str(Path(gracetree.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", LEAN_IMPORT],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")

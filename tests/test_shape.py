@@ -10,6 +10,7 @@ from gracetree import (
     CapacityError,
     DegreeSequenceError,
     InvalidVertexError,
+    TreeShape,
     build_shape,
     enumerate_vertices,
     format_vertex,
@@ -90,10 +91,41 @@ class TestBuildShape:
     def test_invalid_degree_rejected(self):
         with pytest.raises(DegreeSequenceError):
             build_shape((2, 0))
+        with pytest.raises(DegreeSequenceError):
+            TreeShape((2, 0))
+
+    @pytest.mark.parametrize(
+        "degrees, shown",
+        [
+            ((2.0, 3), "entry 1: daughter degree 2.0"),
+            (("2",), "entry 1: daughter degree '2'"),
+            ((2.5,), "entry 1: daughter degree 2.5"),
+            ((3, Fraction(2)), "entry 2: daughter degree Fraction(2, 1)"),
+        ],
+    )
+    def test_non_integer_degree_rejected(self, degrees, shown):
+        with pytest.raises(DegreeSequenceError) as raised:
+            build_shape(degrees)
+        assert str(raised.value) == f"{shown} is not an integer"
+
+    def test_bool_degrees_count_as_ints(self):
+        assert build_shape((True, 2)) == build_shape((1, 2))
+        assert build_shape((True, 2)).level_sizes == (4, 3, 1)
+
+    def test_fields_are_read_only(self):
+        shape = build_shape((2, 3, 4))
+        for name in ("degrees", "level_sizes", "levels", "vertex_count", "edge_count"):
+            with pytest.raises(AttributeError):
+                setattr(shape, name, getattr(shape, name))
+            with pytest.raises(AttributeError):
+                delattr(shape, name)
+        with pytest.raises(AttributeError):
+            shape.extra = 1
+        assert shape == build_shape((2, 3, 4)) and shape.levels == 4
 
     def test_reading_counts_changes_no_identity(self):
-        # The counts are worked out on first read and kept; that must not
-        # show in equality, hashing, repr or a pickle round trip.
+        # The counts are worked out by the constructor and kept; reading
+        # them must not show in equality, hashing, repr or a pickle round trip.
         for degrees in ((), (2, 3, 4), (1000, 1000), (2,) * 20):
             read, fresh = build_shape(degrees), build_shape(degrees)
             counts = (read.levels, read.vertex_count, read.edge_count)

@@ -13,6 +13,7 @@ from gracetree import (
     LabelledVertex,
     LabellingStreamError,
     SearchCapError,
+    VerificationReport,
     WeaklyAlphaReport,
     auxiliary_bitmap_bytes,
     brute_force_graceful,
@@ -133,6 +134,22 @@ class TestCheckWeaklyAlpha:
         records = records_from_assignment(shape, {(): 0})
         _, report = verify_with_weak_alpha(shape, records)
         assert report == WeaklyAlphaReport((0, 0), True)
+
+    def test_reports_are_immutable_values(self):
+        shape = build_shape((2, 3, 4))
+        report, weak = verify_with_weak_alpha(shape, label_all(shape))
+        assert report == VerificationReport(True, True, True, ()) and report.passed
+        assert weak == WeaklyAlphaReport((16, 16), False)
+        assert not VerificationReport(True, False, True, ()).passed
+        names = (
+            "vertex_labels_distinct labels_in_range edge_label_multiset_complete counterexamples",
+            "feasible_k_range strict_alpha_feasible",
+        )
+        for value, fields in zip((report, weak), names):
+            for name in fields.split():
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+        assert report.vertex_labels_distinct is True and weak.feasible_k_range == (16, 16)
 
     def test_wide_roots_report_without_claim(self):
         # The report states the interval alone, here empty; the closed
