@@ -4,10 +4,11 @@
 and naming them by position; ``verify`` streams them into the verifier.
 
 Exit status contract, stable for scripting: 0 success/pass, 1 verification
-failure, 2 usage or input error, 3 capacity overflow (including a shape
-whose verifier bitmaps do not fit in memory), 4 I/O failure, 5 internal
-error (a ConsistencyError or LabellingStreamError, always a bug).  A
-reader that closes the output early (``| head``) ends the run quietly with 0.
+failure, 2 usage or input error (including a search past its budget), 3
+capacity overflow (including a shape whose verifier bitmaps do not fit in
+memory), 4 I/O failure, 5 internal error (a ConsistencyError or
+LabellingStreamError, always a bug).  A reader that closes the output
+early (``| head``) ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ from .errors import (
 from .inverse import DecodeState, _decode
 from .labelling import _level_text, enumerate_vertices, label_all, label_blocks, level_runs
 from .shape import TreeShape, build_shape, format_vertex, integer, parse_degree_sequence
-from .verification import brute_force_graceful, preorder_labelling, verify_with_weak_alpha
+from .verification import (
+    COUNTEREXAMPLES_KEPT,
+    brute_force_graceful,
+    preorder_labelling,
+    verify_with_weak_alpha,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -66,9 +72,9 @@ def _open_out(path: str | None):
 
 
 def _print_counterexamples(report) -> None:
-    for ce in report.counterexamples[:10]:
+    for ce in report.counterexamples:
         print(f"  counterexample: {ce.kind} at {format_vertex(ce.vertex)}, value {ce.value}")
-    hidden = len(report.counterexamples) - 10
+    hidden = report.counterexample_count - COUNTEREXAMPLES_KEPT
     if hidden > 0:
         print(f"  ... and {hidden} more")
 

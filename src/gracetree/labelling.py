@@ -219,10 +219,9 @@ def level_runs(shape: TreeShape, records: Iterable[LabelledVertex]) -> Iterator[
             vertices, labels, parent_labels = zip(*run)
             if set(map(len, vertices)) != {width}:
                 raise LabellingStreamError(f"label stream has a bad id length at level {width + 1}")
-            if None in parent_labels:
-                raise LabellingStreamError(f"label stream has no parent label at level {width + 1}")
             if not (_integers(labels) and _integers(parent_labels)):
-                raise LabellingStreamError(f"label stream has a non-integer label at level {width + 1}")
+                missing = "no parent label" if None in parent_labels else "a non-integer label"
+                raise LabellingStreamError(f"label stream has {missing} at level {width + 1}")
             yield width, vertices, labels, parent_labels
     if next(records, None) is not None:
         raise LabellingStreamError(f"label stream runs past {shape.vertex_count} vertices")

@@ -9,7 +9,7 @@ checks its structure; the root's run is read first.  A later run whose
 children all lie on one side of their parents is marked through two
 integer masks; any other is checked record by record and takes its
 separator ends from whole-run extremes.  The report's flags follow from
-the kinds of counterexample found.  The complement |E| - f of a graceful
+the kinds of counterexample counted.  The complement |E| - f of a graceful
 labelling f is graceful too, so the verifier passes the parity-swapped
 closed form; decoding fails it, and so does ``preorder_labelling``, exact
 labels from a depth-first walk.  Small shapes can be searched exhaustively.
@@ -32,6 +32,15 @@ from .shape import TreeShape, VertexId
 # (the shallow levels of deep trees) are checked record by record.
 MASK_BITS_PER_VALUE = 64
 ONE_DIGIT = ord("1")
+# Each bitmap's counterexample kinds: a value out of range, a value repeated.
+VERTEX_KINDS = ("vertex label out of range", "duplicate vertex label")
+EDGE_KINDS = ("edge label out of range", "duplicate edge label")
+# A report keeps the first counterexamples in stream order and counts them all.
+COUNTEREXAMPLES_KEPT = 10
+# Candidate labels the search may try, counted per step: the 1,101-vertex
+# star needs about 0.6 M, and the 200-vertex path, whose search would
+# backtrack without end, spends them in under a second.
+SEARCH_BUDGET = 10**7
 
 
 class Counterexample(NamedTuple):
@@ -41,12 +50,14 @@ class Counterexample(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    """Outcome of a gracefulness check, with counterexamples on failure."""
+    """Outcome of a gracefulness check: on failure, the first
+    COUNTEREXAMPLES_KEPT counterexamples in stream order and the count of all."""
 
     vertex_labels_distinct: bool
     labels_in_range: bool
     edge_label_multiset_complete: bool
     counterexamples: tuple[Counterexample, ...]
+    counterexample_count: int = 0
 
     @property
     def passed(self) -> bool:
@@ -175,12 +186,13 @@ def verify_with_weak_alpha(
     counterexamples in stream order, and takes its ends from whole-run
     extremes: the largest smaller end and the smallest larger end.  One
     fold over the runs' ends gives the feasible interval, and each flag of
-    the report holds when no counterexample of its kinds was found.
+    the report holds when no counterexample of its kinds was counted.
 
     The weak-separator report is None when verification fails.  Memory is
     two bitmaps of |E| + 1 bits, each indexed by label, plus per-run
-    scratch bounded by CHUNK and MASK_BITS_PER_VALUE.  CapacityError is
-    raised before allocating bitmaps larger than physical memory.
+    scratch bounded by CHUNK and MASK_BITS_PER_VALUE and at most
+    COUNTEREXAMPLES_KEPT counterexamples.  CapacityError is raised before
+    allocating bitmaps larger than physical memory.
     """
     needed = auxiliary_bitmap_bytes(shape)
     try:
@@ -193,46 +205,41 @@ def verify_with_weak_alpha(
     vertex_bits = bytearray(needed // 2)
     edge_bits = bytearray(needed // 2)
     counterexamples: list[Counterexample] = []
+    counts = dict.fromkeys(VERTEX_KINDS + EDGE_KINDS, 0)
+
+    def mark(bits: bytearray, value: int, low: int, kinds: tuple[str, str], vertex: VertexId):
+        # Mark a value within [low, |E|] not yet marked; any other is a
+        # counterexample of the range kind or the duplicate kind, counted,
+        # and kept if fewer than COUNTEREXAMPLES_KEPT are.
+        if not low <= value <= edge_count:
+            kind = kinds[0]
+        elif bits[value // 8] & 1 << value % 8:
+            kind = kinds[1]
+        else:
+            bits[value // 8] |= 1 << value % 8
+            return
+        counts[kind] += 1
+        if len(counterexamples) < COUNTEREXAMPLES_KEPT:
+            counterexamples.append(Counterexample(kind, vertex, value))
+
     runs = level_runs(shape, records)
     (root_label,) = next(runs)[2]
-    if 0 <= root_label <= edge_count:
-        vertex_bits[root_label // 8] |= 1 << root_label % 8
-    else:
-        counterexamples.append(Counterexample("vertex label out of range", (), root_label))
+    mark(vertex_bits, root_label, 0, VERTEX_KINDS, ())
     lo, hi = 0, edge_count  # max over edges of min(end labels), min of max(end labels)
     for _, vertices, labels, parent_labels in runs:
         ends = _mark_run(vertex_bits, edge_bits, edge_count, labels, parent_labels)
         if ends is None:
             for vertex, label, parent_label in zip(vertices, labels, parent_labels):
-                if not 0 <= label <= edge_count:
-                    counterexamples.append(
-                        Counterexample("vertex label out of range", vertex, label)
-                    )
-                elif vertex_bits[label // 8] & 1 << label % 8:
-                    counterexamples.append(
-                        Counterexample("duplicate vertex label", vertex, label)
-                    )
-                else:
-                    vertex_bits[label // 8] |= 1 << label % 8
-                induced = abs(label - parent_label)
-                if not 1 <= induced <= edge_count:
-                    counterexamples.append(
-                        Counterexample("edge label out of range", vertex, induced)
-                    )
-                elif edge_bits[induced // 8] & 1 << induced % 8:
-                    counterexamples.append(
-                        Counterexample("duplicate edge label", vertex, induced)
-                    )
-                else:
-                    edge_bits[induced // 8] |= 1 << induced % 8
+                mark(vertex_bits, label, 0, VERTEX_KINDS, vertex)
+                mark(edge_bits, abs(label - parent_label), 1, EDGE_KINDS, vertex)
             ends = max(map(min, labels, parent_labels)), min(map(max, labels, parent_labels))
         lo, hi = max(lo, ends[0]), min(hi, ends[1])
-    kinds = {kind for kind, _, _ in counterexamples}
     report = VerificationReport(
-        "duplicate vertex label" not in kinds,
-        "vertex label out of range" not in kinds,
-        kinds.isdisjoint(("duplicate edge label", "edge label out of range")),
+        not counts[VERTEX_KINDS[1]],
+        not counts[VERTEX_KINDS[0]],
+        not (counts[EDGE_KINDS[0]] or counts[EDGE_KINDS[1]]),
         tuple(counterexamples),
+        sum(counts.values()),
     )
     if not report.passed:
         return report, None
@@ -247,7 +254,9 @@ def brute_force_graceful(shape: TreeShape, cap: int = 14) -> list[LabelledVertex
     labels, so the first hit is the lexicographically smallest label
     vector, returned as records in canonical order, the form of
     ``label_all``.  Returns None if the search space is exhausted (not
-    expected for any tree, but the search is honest about it).
+    expected for any tree, but the search is honest about it).  Raises
+    SearchCapError past ``cap`` vertices, or once it has tried more than
+    SEARCH_BUDGET candidate labels, counted at each step.
     """
     if shape.vertex_count > cap:
         raise SearchCapError(f"{shape.vertex_count} vertices exceeds the search cap of {cap}")
@@ -263,10 +272,13 @@ def brute_force_graceful(shape: TreeShape, cap: int = 14) -> list[LabelledVertex
     # An explicit stack of next candidates, one per vertex, instead of one
     # Python frame per vertex: deep trees must not hit the recursion limit.
     next_candidate = [0] * (n + 1)
-    i = 0
+    i = tried = 0
     while i < n:
+        if tried > SEARCH_BUDGET:
+            raise SearchCapError(f"search budget of {SEARCH_BUDGET} candidate labels spent")
         parent_index = parents[i]
-        for candidate in range(next_candidate[i], edge_count + 1):
+        first = next_candidate[i]
+        for candidate in range(first, edge_count + 1):
             if vertex_used[candidate]:
                 continue
             if parent_index is not None:
@@ -279,10 +291,12 @@ def brute_force_graceful(shape: TreeShape, cap: int = 14) -> list[LabelledVertex
             next_candidate[i] = candidate + 1
             i += 1
             next_candidate[i] = 0
+            tried += candidate + 1 - first
             break
         else:
             # Every candidate failed: undo the previous vertex and move on
             # to its next candidate.
+            tried += edge_count + 1 - first
             i -= 1
             if i < 0:
                 return None

@@ -21,6 +21,7 @@ from gracetree import (
     label_all,
     label_blocks,
 )
+from gracetree.verification import COUNTEREXAMPLES_KEPT
 
 # Published worked-example tree: degrees (2,3,4), 33 vertices, labels in
 # breadth-first order.
@@ -142,7 +143,8 @@ def reference_reports(degrees, assignment):
     Walks the tree breadth-first from the root with a queue and tracks
     used labels in Python sets: no blocks, no bitmaps, no closed form.
     Returns the (VerificationReport, WeaklyAlphaReport | None) pair that
-    verify_with_weak_alpha must return, counterexamples in the same order.
+    verify_with_weak_alpha must return: the first COUNTEREXAMPLES_KEPT
+    counterexamples in the same order, and the count of all of them.
     """
     edge_count = vertex_count_by_products(degrees) - 1
     vertex_labels, edge_labels = set(), set()
@@ -179,7 +181,8 @@ def reference_reports(degrees, assignment):
         distinct,
         in_range,
         complete,
-        tuple(Counterexample(*ce) for ce in counterexamples),
+        tuple(Counterexample(*ce) for ce in counterexamples[:COUNTEREXAMPLES_KEPT]),
+        len(counterexamples),
     )
     if not report.passed:
         return report, None
@@ -234,6 +237,14 @@ def _no_parent_label(shape):
     return iter(records)
 
 
+def _no_parent_label_after_a_float(shape):
+    # A float label in record 4 and no parent label in record 5, both on
+    # level 3: the missing parent label is reported.
+    records = list(_no_parent_label(shape))
+    records[4] = records[4]._replace(label=2.5)
+    return iter(records)
+
+
 def _replaced(index, field, value):
     # Record ``index`` of label_all with ``field`` set to ``value``.
     def stream(shape):
@@ -262,6 +273,7 @@ STREAM_FAULTS = [
     (_long, "runs past 33 vertices"),
     (_wrong_length, "bad id length at level 4"),
     (_no_parent_label, "no parent label at level 3"),
+    (_no_parent_label_after_a_float, "no parent label at level 3"),
     # Labels that are not ints: the verifier would index its bitmaps with
     # them, and the writers' %d would print 11.5 as 11.
     (_replaced(5, "label", 2.5), "non-integer label at level 3"),

@@ -450,6 +450,40 @@ class TestVerifyCommand:
         assert out.count("  counterexample: ") == 10
         assert "  ... and 54 more\n" in out
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_counterexample_memory_is_bounded(self):
+        # All-zero labels on (2,)*18 give 1,048,572 counterexamples, which a
+        # report that kept them all held at about 190 B each.  One that keeps
+        # ten and counts the rest peaks near the passing run of the same
+        # shape.  Each child reports VmHWM, as in the trace memory test.
+        child = (
+            "import sys\n"
+            "from gracetree import cli, enumerate_vertices\n"
+            "if sys.argv[1] == 'zero':\n"
+            "    cli.label_all = lambda shape: (\n"
+            "        (v, 0, 0 if v else None) for v in enumerate_vertices(shape)\n"
+            "    )\n"
+            "code = cli.main(['verify', ','.join(['2'] * 18)])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    (peak,) = [line.split()[1] for line in status if line.startswith('VmHWM:')]\n"
+            "print(code, peak, file=sys.stderr)\n"
+        )
+        peaks = {}
+        for labels, expected_code in (("closed", 0), ("zero", 1)):
+            done = subprocess.run(
+                [sys.executable, "-c", child, labels],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=_child_env(),
+                timeout=120,
+                check=True,
+            )
+            code, peaks[labels] = map(int, done.stderr.split())
+            assert code == expected_code
+        assert done.stdout.count(b"  counterexample: ") == 10
+        assert b"  ... and 1048562 more\n" in done.stdout
+        assert peaks["zero"] - peaks["closed"] < 8 * 1024
+
 
 class TestOracleCompareCommand:
     def test_path_matches(self, capsys):
@@ -511,6 +545,14 @@ class TestOracleCompareCommand:
         assert "closed form: graceful" in out
         assert "search oracle: found a different valid labelling" in out
         assert err == ""
+
+    def test_search_budget_ends_in_exit_2(self, capsys):
+        # The search on the 200-vertex path backtracks without end; its
+        # budget stops it within seconds, after the walk's line.
+        code, out, err = run(capsys, "oracle-compare", ",".join(["1"] * 199), "--cap", "200")
+        assert code == 2
+        assert out.startswith("preorder oracle: exact match across 200 labels\n")
+        assert err == f"error: search budget of {verification.SEARCH_BUDGET} candidate labels spent\n"
 
     def test_long_path_uses_preorder_oracle_only(self, capsys):
         # The largest path admitted with the default cap.

@@ -95,6 +95,27 @@ def test_verification_reads_no_degrees_or_sizes():
     assert reads == []
 
 
+def test_verifier_builds_counterexamples_at_one_site():
+    # The root's label and each record's label and edge label go through one
+    # rule: mark a value in range and not yet marked, or count and keep a
+    # counterexample.  A second Counterexample call restates that rule.
+    path = Path(gracetree.__file__).parent / "verification.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (verifier,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_with_weak_alpha"
+    ]
+    sites = [
+        node.lineno
+        for node in ast.walk(verifier)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Counterexample"
+    ]
+    assert len(sites) == 1
+
+
 def test_decode_is_the_only_loop_of_inverse():
     # invert_label and trace_inversion share _decode's one loop; a second
     # loop in the module would be a copy of the decoder for one of them.

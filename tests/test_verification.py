@@ -27,7 +27,7 @@ from gracetree import (
 )
 from gracetree import verification
 from gracetree.labelling import level_runs
-from gracetree.verification import MASK_BITS_PER_VALUE
+from gracetree.verification import COUNTEREXAMPLES_KEPT, MASK_BITS_PER_VALUE
 from helpers import (
     EXAMPLE_DEGREES,
     EXAMPLE_LABELS,
@@ -84,6 +84,22 @@ class TestVerifyGraceful:
             ce.kind == "vertex label out of range" and ce.value == 3
             for ce in report.counterexamples
         )
+
+    def test_counterexamples_kept_and_counted(self):
+        # All-zero labels on (2,3,4): 32 duplicate labels and 32 zero edges,
+        # interleaved in stream order; the first ten are kept, all counted.
+        degrees = (2, 3, 4)
+        shape = build_shape(degrees)
+        assignment = dict.fromkeys(enumerate_vertices(shape), 0)
+        report, weak = verify_with_weak_alpha(shape, records_from_assignment(shape, assignment))
+        assert (report, weak) == reference_reports(degrees, assignment)
+        assert weak is None and report.counterexample_count == 64
+        assert report.counterexamples[:2] == (
+            ("duplicate vertex label", (0,), 0),
+            ("edge label out of range", (0,), 0),
+        )
+        assert len(report.counterexamples) == COUNTEREXAMPLES_KEPT == 10
+        assert report[:3] == (False, True, False)
 
     def test_short_stream_rejected(self):
         shape = build_shape((2,))
@@ -142,7 +158,8 @@ class TestCheckWeaklyAlpha:
         assert weak == WeaklyAlphaReport((16, 16), False)
         assert not VerificationReport(True, False, True, ()).passed
         names = (
-            "vertex_labels_distinct labels_in_range edge_label_multiset_complete counterexamples",
+            "vertex_labels_distinct labels_in_range edge_label_multiset_complete counterexamples"
+            " counterexample_count",
             "feasible_k_range strict_alpha_feasible",
         )
         for value, fields in zip((report, weak), names):
@@ -487,6 +504,26 @@ class TestBruteForce:
     def test_cap_enforced(self):
         with pytest.raises(SearchCapError):
             brute_force_graceful(build_shape((2, 3, 4)))
+
+    def test_search_budget(self, monkeypatch):
+        # The search counts the candidate labels it tries and gives up past
+        # SEARCH_BUDGET; the 1,101-vertex star of
+        # test_star_deeper_than_the_recursion_limit needs about 0.6 M, the
+        # 200-vertex path more than any budget.
+        path = build_shape((1,) * 199)
+        monkeypatch.setattr(verification, "SEARCH_BUDGET", 10_000)
+        with pytest.raises(SearchCapError, match="budget of 10000 candidate labels"):
+            brute_force_graceful(path, cap=200)
+        # The three-vertex path's search tries 9 candidates in all: 1 for the
+        # root, 2 for the middle vertex, 3 for the last before it backtracks,
+        # then 1 and 2 again.
+        monkeypatch.setattr(verification, "SEARCH_BUDGET", 2)
+        with pytest.raises(SearchCapError):
+            brute_force_graceful(build_shape((1, 1)))
+        monkeypatch.setattr(verification, "SEARCH_BUDGET", 9)
+        assert brute_force_graceful(build_shape((1, 1))) == [
+            ((), 0, None), ((0,), 2, 0), ((0, 0), 1, 2)
+        ]
 
     def test_custom_cap(self):
         shape = build_shape((1, 1, 1))  # 4 vertices
