@@ -233,8 +233,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     else:
         print(f"preorder oracle: exact match across {n} labels")
     if n <= args.cap:
-        records = list(label_all(shape))
-        report = verify_with_weak_alpha(shape, records)[0]
+        report = verify_with_weak_alpha(shape, label_all(shape))[0]
         print(f"closed form: {'graceful' if report.passed else 'NOT graceful'}")
         if not report.passed:
             failures += 1
@@ -249,7 +248,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
                 failures += 1
                 print("search oracle: produced an invalid labelling")
                 _print_counterexamples(found_report)
-            elif found == records:  # ids, labels and parent labels
+            elif found == list(label_all(shape)):  # ids, labels and parent labels
                 print("search oracle: found the same labelling")
             else:
                 print("search oracle: found a different valid labelling")

@@ -131,39 +131,26 @@ def _mark_run(
         edge_digits[diff_high - diff] = ONE_DIGIT
     if diff_high < 0:
         edge_digits.reverse()
-    vertex_marks = _mask_window(vertex_bits, label_digits, len(labels), low)
-    edge_marks = vertex_marks and _mask_window(edge_bits, edge_digits, len(labels), edge_low)
-    if not edge_marks:
-        return None
-    for bitmap, (start, stop, window) in ((vertex_bits, vertex_marks), (edge_bits, edge_marks)):
+    # Each mask must hold one bit per value and meet no marked bit of the
+    # bitmap bytes it spans; both windows are written only when both fit.
+    windows = []
+    for bitmap, digits, offset in ((vertex_bits, label_digits, low), (edge_bits, edge_digits, edge_low)):
+        if digits.count(ONE_DIGIT) != len(labels):  # a value repeats
+            return None
+        start = offset // 8
+        stop = (offset + len(digits) - 1) // 8 + 1
+        window = int.from_bytes(bitmap[start:stop], "little")
+        # int() reads power-of-two bases in linear time.
+        mask = int(digits, 2) << (offset - 8 * start)
+        if window & mask:
+            return None
+        windows.append((bitmap, start, stop, window | mask))
+    for bitmap, start, stop, window in windows:
         bitmap[start:stop] = window.to_bytes(stop - start, "little")
     # Above, the children's labels are the larger ends; below, the smaller.
     if diff_low > 0:
         return max(parent_labels), low
     return high, min(parent_labels)
-
-
-def _mask_window(
-    bitmap: bytearray, digits: bytearray, count: int, offset: int
-) -> tuple[int, int, int] | None:
-    """The bitmap bytes a mask of ``count`` values would set, or None.
-
-    ``digits`` are the mask's base-2 digits, most significant first, whose
-    lowest bit is bit ``offset`` of ``bitmap``.  Returns ``(start, stop,
-    window)``: ``window`` is ``bitmap[start:stop]`` read as a little-endian
-    integer with the mask's bits added.  None when fewer than ``count``
-    digits are set (a value repeats) or a bit is already marked.
-    """
-    if digits.count(ONE_DIGIT) != count:
-        return None
-    start = offset // 8
-    stop = (offset + len(digits) - 1) // 8 + 1
-    window = int.from_bytes(bitmap[start:stop], "little")
-    # int() reads power-of-two bases in linear time.
-    mask = int(digits, 2) << (offset - 8 * start)
-    if window & mask:
-        return None
-    return start, stop, window | mask
 
 
 def verify_with_weak_alpha(
